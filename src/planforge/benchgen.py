@@ -42,14 +42,17 @@ from .simkit import (
     IMAGE_CORRUPTIONS,
     SEMANTIC_SIGNATURES,
     Corruption,
+    Expr,
     Modality,
     Payload,
     SemanticId,
     SimConstants,
     apply_chain,
     apply_tool,
+    expr_labels,
     make_leaf,
     similarity,
+    structure_similarity,
 )
 
 Chain = tuple[Corruption, ...]
@@ -394,15 +397,32 @@ class OracleResult:
     plans_examined: int
 
 
-def _chain_plan(names: tuple[str, ...], root: int, start_id: int) -> tuple[list[PlanNode], int]:
+def _chain_plan(
+    names: tuple[str, ...], head: TaskInput | NodeOutput, start_id: int
+) -> tuple[list[PlanNode], TaskInput | NodeOutput]:
+    """Nodes applying the tools in order from head, numbered from start_id."""
     nodes: list[PlanNode] = []
-    head: TaskInput | NodeOutput = TaskInput(root)
-    nid = start_id
-    for name in names:
+    for nid, name in enumerate(names, start_id):
         nodes.append(PlanNode(nid, name, (head,)))
         head = NodeOutput(nid)
-        nid += 1
-    return nodes, nid
+    return nodes, head
+
+
+def _joined_plan(
+    a: int,
+    b: int,
+    names0: tuple[str, ...],
+    names1: tuple[str, ...],
+    join: str,
+    tail: tuple[str, ...],
+) -> PlanGraph:
+    """Chains on task inputs a and b, a join of their heads, then the tail."""
+    nodes0, h0 = _chain_plan(names0, TaskInput(a), 0)
+    nodes1, h1 = _chain_plan(names1, TaskInput(b), len(nodes0))
+    join_id = len(nodes0) + len(nodes1)
+    tail_nodes, _ = _chain_plan(tail, NodeOutput(join_id), join_id + 1)
+    nodes = (*nodes0, *nodes1, PlanNode(join_id, join, (h0, h1)), *tail_nodes)
+    return PlanGraph(nodes, nodes[-1].id)
 
 
 def _enumerate_chains(
@@ -449,60 +469,97 @@ def oracle_best_plan(
     constants: SimConstants = DEFAULT_CONSTANTS,
     replayable_only: bool = False,
 ) -> OracleResult:
-    """Exhaustive argmax over the canonical plan family.
+    """Exhaustive argmin of (-score, tool count, plan document) over the
+    canonical plan family.
 
     Single-input tasks get every duplicate-free tool chain up to
     max_depth. Two-input tasks get a chain per input (each up to
     max_depth), one join in either input orientation, and a tail chain
-    up to max_depth. Ties break toward fewer tools, then the
-    lexicographically smallest plan document.
+    up to max_depth. A candidate is scored on the task's first sample.
+    Ties on score break toward fewer tools, then toward the
+    lexicographically smallest plan document (``json.dumps`` of
+    ``plan_to_json`` with sorted keys). With ``replayable_only``, a
+    candidate that would become the best is kept only if the decoder
+    can replay it.
+
+    Two memos, local to the call, act as a transposition table: scores
+    keyed by final payload, and tail chains with their scores keyed by
+    the join's output modality and payload. Equal keys give equal
+    values, so they skip recomputation, never candidates: the search
+    does no pruning, and ``plans_examined`` counts every candidate.
+    The plan graph and its document are built only for a candidate
+    whose score and tool count tie or beat the current best.
     """
     if len(task.input_signature) > 2:
         raise ValueError("oracle handles one or two task inputs")
     if not task.dataset:
         raise ValueError("oracle needs at least one sample")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     sample = task.dataset[0]
+    reference = sample.reference
+    reference_labels = expr_labels(reference.expr)
+    target = task.output_modality
+    structure: dict[Expr, float] = {}
+    scores: dict[Payload, float] = {}
+
+    def score(payload: Payload | None) -> float:
+        if payload is None:
+            return 0.0
+        value = scores.get(payload)
+        if value is None:
+            w_struct = structure.get(payload.expr)
+            if w_struct is None:
+                w_struct = structure[payload.expr] = structure_similarity(
+                    payload.expr, reference.expr, reference_labels
+                )
+            value = scores[payload] = similarity(payload, reference, constants, w_struct)
+        return value
 
     examined = 0
-    best: tuple[float, int, str] | None = None
+    # Every score is >= 0, so the first candidate always reaches offer().
+    best_score, best_len = -1.0, 0
     best_plan: PlanGraph | None = None
+    best_doc: str | None = None
 
-    def offer(plan: PlanGraph, payload: Payload | None) -> None:
-        nonlocal examined, best, best_plan
-        examined += 1
-        score = 0.0 if payload is None else similarity(payload, sample.reference, constants)
-        key = (
-            -score,
-            len(plan.nodes),
-            json.dumps(plan_to_json(plan), sort_keys=True),
-        )
-        if best is not None and key >= best:
-            return
+    def offer(value: float, n_nodes: int, plan: PlanGraph) -> None:
+        """Keep the plan if it beats the best; called only when its
+        (score, tool count) ties or beats the best's."""
+        nonlocal best_score, best_len, best_plan, best_doc
+        doc = None
+        if value == best_score and n_nodes == best_len:
+            doc = json.dumps(plan_to_json(plan), sort_keys=True)
+            if best_doc is None:
+                best_doc = json.dumps(plan_to_json(best_plan), sort_keys=True)
+            if doc >= best_doc:
+                return
         if replayable_only:
-            # Checked lazily: only candidates that would displace the
-            # current best pay for a replay.
             try:
                 replay_steps(plan, task, registry)
             except InvalidPlan:
                 return
-        best = key
-        best_plan = plan
+        best_score, best_len, best_plan, best_doc = value, n_nodes, plan, doc
 
     if len(task.input_signature) == 1:
         chains = _enumerate_chains(
             registry, task.input_signature[0], sample.inputs[0], max_depth, constants
         )
         for names, modality, payload in chains:
-            if not names or modality is not task.output_modality:
+            if not names or modality is not target:
                 continue
-            nodes, _ = _chain_plan(names, 0, 0)
-            offer(PlanGraph(tuple(nodes), nodes[-1].id), payload)
+            examined += 1
+            value, n_nodes = score(payload), len(names)
+            if value > best_score or (value == best_score and n_nodes <= best_len):
+                nodes, _ = _chain_plan(names, TaskInput(0), 0)
+                offer(value, n_nodes, PlanGraph(tuple(nodes), nodes[-1].id))
     else:
         joins = [spec for spec in registry if len(spec.inputs) == 2]
         per_input = [
             _enumerate_chains(registry, task.input_signature[i], sample.inputs[i], max_depth, constants)
             for i in range(2)
         ]
+        # (join output modality, joined payload) -> [(tail, tail name set, score)]
+        tail_memo: dict[tuple[Modality, Payload | None], list] = {}
         for a, b in ((0, 1), (1, 0)):
             for join in joins:
                 for names0, mod0, pay0 in per_input[a]:
@@ -520,32 +577,27 @@ def oracle_best_plan(
                                 joined = apply_tool(join.semantic, (pay0, pay1), constants)
                             except EngineError:
                                 joined = None
-                        tails = _enumerate_chains(
-                            registry, join.output, joined, max_depth, constants
-                        )
-                        for tail_names, tail_mod, tail_pay in tails:
-                            if tail_mod is not task.output_modality:
+                        tails = tail_memo.get((join.output, joined))
+                        if tails is None:
+                            tails = tail_memo[join.output, joined] = [
+                                (tail, frozenset(tail), score(tail_pay))
+                                for tail, tail_mod, tail_pay in _enumerate_chains(
+                                    registry, join.output, joined, max_depth, constants
+                                )
+                                if tail_mod is target
+                            ]
+                        used.add(join.name)
+                        head_len = len(used)
+                        for tail, tail_set, value in tails:
+                            if not used.isdisjoint(tail_set):
                                 continue
-                            tail_set = set(tail_names)
-                            if len(tail_set) != len(tail_names):
-                                continue
-                            if (used | {join.name}) & tail_set:
-                                continue
-                            nodes0, nid = _chain_plan(names0, a, 0)
-                            nodes1, nid = _chain_plan(names1, b, nid)
-                            h0 = NodeOutput(nodes0[-1].id) if nodes0 else TaskInput(a)
-                            h1 = NodeOutput(nodes1[-1].id) if nodes1 else TaskInput(b)
-                            join_node = PlanNode(nid, join.name, (h0, h1))
-                            nodes = nodes0 + nodes1 + [join_node]
-                            nid += 1
-                            head = NodeOutput(join_node.id)
-                            for name in tail_names:
-                                nodes.append(PlanNode(nid, name, (head,)))
-                                head = NodeOutput(nid)
-                                nid += 1
-                            offer(PlanGraph(tuple(nodes), nodes[-1].id), tail_pay)
+                            examined += 1
+                            n_nodes = head_len + len(tail)
+                            if value > best_score or (value == best_score and n_nodes <= best_len):
+                                plan = _joined_plan(a, b, names0, names1, join.name, tail)
+                                offer(value, n_nodes, plan)
 
     if best_plan is None:
-        raise NoFeasiblePlan(f"no plan reaches {task.output_modality.value} for {task.id}")
-    reward = fmean(score for _, score in execute_task(best_plan, task, registry, constants))
+        raise NoFeasiblePlan(f"no plan reaches {target.value} for {task.id}")
+    reward = fmean(value for _, value in execute_task(best_plan, task, registry, constants))
     return OracleResult(best_plan=best_plan, best_reward=reward, plans_examined=examined)

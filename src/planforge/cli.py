@@ -62,16 +62,25 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _read_json(path: str, what: str):
+    """Parse an input file; a missing, unreadable or non-JSON one is an EngineError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise EngineError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise EngineError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _load_registry(cfg: EngineConfig):
     if cfg.registry == "default":
         return default_registry()
-    with open(cfg.registry, encoding="utf-8") as handle:
-        return registry_from_json(json.load(handle))
+    return registry_from_json(_read_json(cfg.registry, "registry"))
 
 
 def _load_catalog(path: str) -> tuple[TaskSpec, ...]:
-    with open(path, encoding="utf-8") as handle:
-        return catalog_from_json(json.load(handle))
+    return catalog_from_json(_read_json(path, "catalog"))
 
 
 def _select_tasks(args, cfg: EngineConfig) -> tuple[TaskSpec, ...]:
@@ -92,8 +101,7 @@ def _load_policy(args) -> TabularPolicy:
     checkpoint = getattr(args, "checkpoint", None)
     if not checkpoint:
         return TabularPolicy(PolicyParams())
-    with open(checkpoint, encoding="utf-8") as handle:
-        return TabularPolicy(params_from_json(json.load(handle)))
+    return TabularPolicy(params_from_json(_read_json(checkpoint, "checkpoint")))
 
 
 def _cmd_gen(args, cfg: EngineConfig) -> int:
@@ -108,6 +116,8 @@ def _cmd_gen(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_oracle(args, cfg: EngineConfig) -> int:
+    if args.max_depth < 0:
+        raise EngineError(f"--max-depth must be >= 0, got {args.max_depth}")
     out = Path(args.out or cfg.out_dir)
     registry = _load_registry(cfg)
     tasks = _select_tasks(args, cfg)
@@ -154,8 +164,7 @@ def _cmd_exec(args, cfg: EngineConfig) -> int:
     if len(tasks) != 1:
         raise EngineError("exec needs exactly one task; pass --task")
     task = tasks[0]
-    with open(args.plan, encoding="utf-8") as handle:
-        plan = plan_from_json(json.load(handle))
+    plan = plan_from_json(_read_json(args.plan, "plan"))
     report = validate_plan(plan, registry, task.input_signature, task.output_modality)
     if not report.ok:
         violations = [

@@ -312,30 +312,41 @@ def expr_labels(expr: Expr) -> Counter:
     return labels
 
 
+def structure_similarity(out: Expr, ref: Expr, ref_labels: Counter | None = None) -> float:
+    """Structure term of `similarity`: 1.0 on identical exprs, multiset
+    Jaccard over node labels otherwise.
+
+    ``ref_labels`` is ``expr_labels(ref)``, for a caller that scores
+    many outputs against one reference and has already computed it.
+    """
+    if out == ref:
+        return 1.0
+    a = expr_labels(out)
+    b = expr_labels(ref) if ref_labels is None else ref_labels
+    keys = set(a) | set(b)
+    inter = sum(min(a[k], b[k]) for k in keys)
+    union = sum(max(a[k], b[k]) for k in keys)
+    return inter / union if union else 0.0
+
+
 def similarity(
     out: Payload,
     ref: Payload,
     constants: SimConstants = DEFAULT_CONSTANTS,
+    w_struct: float | None = None,
 ) -> float:
     """Score an output payload against a reference payload in [0, 1].
 
-    Product of a structure term (1.0 on identical exprs, multiset
-    Jaccard over node labels otherwise), a language term, and the
-    output's own quality discounted per residual corruption.
+    Product of the structure term, a language term, and the output's
+    own quality discounted per residual corruption. ``w_struct`` is the
+    structure term, ``structure_similarity(out.expr, ref.expr)``, for a
+    caller that has already computed it.
     """
     if out.modality is not ref.modality:
         return 0.0
 
-    if out.expr == ref.expr:
-        w_struct = 1.0
-    else:
-        a = expr_labels(out.expr)
-        b = expr_labels(ref.expr)
-        keys = set(a) | set(b)
-        inter = sum(min(a[k], b[k]) for k in keys)
-        union = sum(max(a[k], b[k]) for k in keys)
-        w_struct = inter / union if union else 0.0
-
+    if w_struct is None:
+        w_struct = structure_similarity(out.expr, ref.expr)
     w_lang = 1.0 if out.language is ref.language else constants.language_mismatch
     w_quality = out.quality * constants.gamma ** len(out.corruptions)
     return w_struct * w_lang * w_quality

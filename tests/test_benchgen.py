@@ -7,9 +7,13 @@ existed, so they can catch regressions in either half.
 
 from __future__ import annotations
 
+import itertools
 import json
+from statistics import fmean
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from planforge.benchgen import (
     CatalogConfig,
@@ -23,9 +27,22 @@ from planforge.benchgen import (
     required_oracle_depth,
     split_train_test,
 )
-from planforge.errors import InfeasibleCount, NoFeasiblePlan
-from planforge.plan_ir import TaskCategory, is_nonlinear, topological_stages, validate_plan
-from planforge.simkit import Corruption, SemanticId
+from planforge.decoder import replay_steps
+from planforge.errors import InfeasibleCount, InvalidPlan, NoFeasiblePlan
+from planforge.executor import execute
+from planforge.plan_ir import (
+    NodeOutput,
+    PlanGraph,
+    PlanNode,
+    TaskCategory,
+    TaskInput,
+    is_nonlinear,
+    plan_to_json,
+    topological_stages,
+    validate_plan,
+)
+from planforge.registry import default_registry
+from planforge.simkit import Corruption, SemanticId, similarity
 
 C = Corruption
 S = SemanticId
@@ -218,3 +235,121 @@ def test_oracle_rejects_empty_dataset(registry) -> None:
     task = build_task("ii-x", TaskCategory.IMAGE_TO_IMAGE, ((C.GRAY,),), (), samples_per_task=0)
     with pytest.raises(ValueError):
         oracle_best_plan(task, registry, 1)
+
+
+def test_oracle_rejects_negative_depth(registry) -> None:
+    task = build_task("ii-x", TaskCategory.IMAGE_TO_IMAGE, ((C.GRAY,),), ())
+    with pytest.raises(ValueError, match="max_depth"):
+        oracle_best_plan(task, registry, -1)
+
+
+# A naive reference for oracle_best_plan: list every candidate of the
+# canonical plan family independently, execute and score each one,
+# build the full (-score, tool count, plan document) key for each, and
+# take the argmin, over replayable candidates only when asked.
+
+
+def _naive_chains(registry, modality, depth):
+    """(tool names, output modality) of every well-typed chain of at most
+    depth distinct single-input tools starting from modality."""
+    unary = [spec for spec in registry if len(spec.inputs) == 1]
+    chains = []
+    for length in range(depth + 1):
+        for specs in itertools.permutations(unary, length):
+            head = modality
+            for spec in specs:
+                if spec.inputs[0] is not head:
+                    break
+                head = spec.output
+            else:
+                chains.append((tuple(spec.name for spec in specs), head))
+    return chains
+
+
+def _naive_nodes(names, head, start):
+    nodes = []
+    for nid, name in enumerate(names, start):
+        nodes.append(PlanNode(nid, name, (head,)))
+        head = NodeOutput(nid)
+    return nodes, head
+
+
+def _naive_candidates(task, registry, depth):
+    out = task.output_modality
+    if len(task.input_signature) == 1:
+        for names, head in _naive_chains(registry, task.input_signature[0], depth):
+            if names and head is out:
+                nodes, _ = _naive_nodes(names, TaskInput(0), 0)
+                yield PlanGraph(tuple(nodes), nodes[-1].id)
+        return
+    chains = [_naive_chains(registry, modality, depth) for modality in task.input_signature]
+    for a, b in ((0, 1), (1, 0)):
+        for join in (spec for spec in registry if len(spec.inputs) == 2):
+            tails = [tail for tail, head in _naive_chains(registry, join.output, depth) if head is out]
+            for names0, head0 in chains[a]:
+                for names1, head1 in chains[b]:
+                    if head0 is not join.inputs[0] or head1 is not join.inputs[1]:
+                        continue
+                    for tail in tails:
+                        tools = names0 + names1 + (join.name,) + tail
+                        if len(set(tools)) != len(tools):
+                            continue
+                        nodes0, h0 = _naive_nodes(names0, TaskInput(a), 0)
+                        nodes1, h1 = _naive_nodes(names1, TaskInput(b), len(nodes0))
+                        join_id = len(nodes0) + len(nodes1)
+                        rest, _ = _naive_nodes(tail, NodeOutput(join_id), join_id + 1)
+                        nodes = nodes0 + nodes1 + [PlanNode(join_id, join.name, (h0, h1))] + rest
+                        yield PlanGraph(tuple(nodes), nodes[-1].id)
+
+
+def _naive_score(plan, sample, registry):
+    trace = execute(plan, sample.inputs, registry)
+    return 0.0 if trace.final is None else similarity(trace.final, sample.reference)
+
+
+def _naive_oracle(task, registry, depth, replayable_only):
+    """(best plan or None, number of candidates)."""
+    keyed = []
+    for plan in _naive_candidates(task, registry, depth):
+        score = _naive_score(plan, task.dataset[0], registry)
+        document = json.dumps(plan_to_json(plan), sort_keys=True)
+        keyed.append(((-score, len(plan.nodes), document), plan))
+    keyed.sort(key=lambda entry: entry[0])
+    for _, plan in keyed:
+        if replayable_only:
+            try:
+                replay_steps(plan, task, registry)
+            except InvalidPlan:
+                continue
+        return plan, len(keyed)
+    return None, len(keyed)
+
+
+_REGISTRY = default_registry()
+_SPACES = {category: category_space(category, CatalogConfig()) for category in TaskCategory}
+
+
+@st.composite
+def _oracle_cases(draw):
+    category = draw(st.sampled_from(list(TaskCategory)))
+    chains, builder = draw(st.sampled_from(_SPACES[category]))
+    depth = draw(st.integers(min_value=1, max_value=2))
+    return category, chains, builder, depth, draw(st.booleans())
+
+
+@settings(max_examples=12, deadline=None)
+@given(_oracle_cases())
+@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), 2, True))
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK, C.TRANSLATE), (C.MASK,)), (S.QA, S.SUMMARIZE), 2, False))
+def test_oracle_matches_naive_reference(case) -> None:
+    category, chains, builder, depth, replayable_only = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=2)
+    plan, candidates = _naive_oracle(task, _REGISTRY, depth, replayable_only)
+    if plan is None:
+        with pytest.raises(NoFeasiblePlan):
+            oracle_best_plan(task, _REGISTRY, depth, replayable_only=replayable_only)
+        return
+    result = oracle_best_plan(task, _REGISTRY, depth, replayable_only=replayable_only)
+    assert result.best_plan == plan
+    assert result.plans_examined == candidates
+    assert result.best_reward == fmean(_naive_score(plan, s, _REGISTRY) for s in task.dataset)

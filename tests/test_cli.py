@@ -153,6 +153,95 @@ def test_unknown_task_is_an_engine_error(ws, tmp_path, capsys) -> None:
     assert "zz-999" in err["error"]["message"]
 
 
+def test_oracle_rejects_negative_max_depth(ws, tmp_path, capsys) -> None:
+    code = main(
+        ws["base"][:2]
+        + [
+            "--out", str(tmp_path / "o"),
+            "oracle", "--catalog", str(ws["catalog"]), "--task", "ii-000", "--max-depth", "-1",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == {
+        "type": "EngineError",
+        "message": "--max-depth must be >= 0, got -1",
+    }
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["oracle", "--catalog", "{missing}"],
+        ["train", "--catalog", "{missing}"],
+        ["eval", "--catalog", "{catalog}", "--checkpoint", "{missing}"],
+        ["exec", "--catalog", "{catalog}", "--task", "ii-000", "--plan", "{missing}"],
+        ["exec", "--catalog", "{catalog}", "--task", "ii-000", "--plan", "{garbled}"],
+    ],
+)
+def test_unreadable_input_file_is_an_engine_error(ws, tmp_path, capsys, command) -> None:
+    missing = tmp_path / "missing.json"
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    paths = {"{missing}": str(missing), "{garbled}": str(garbled), "{catalog}": str(ws["catalog"])}
+    argv = ws["base"][:2] + ["--out", str(tmp_path / "x")] + [paths.get(a, a) for a in command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "EngineError"
+    assert str(missing if "{missing}" in command else garbled) in error["message"]
+
+
+def test_missing_registry_file_is_an_engine_error(tmp_path, capsys) -> None:
+    config = tmp_path / "config.json"
+    missing = tmp_path / "registry.json"
+    config.write_text(json.dumps({"registry": str(missing)}))
+    code = main(["--config", str(config), "parse", "--text", "module: Fill Mask"])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "EngineError"
+    assert str(missing) in error["message"]
+
+
+# `planforge oracle` rows on a small seeded catalog: four one-input tasks
+# and four two-input tasks of tight depth 2. Any change to a reward or to
+# the number of plans the exhaustive search examines shows up here.
+GOLDEN_CONFIG = {
+    "catalog": {
+        "image_image": 1,
+        "image_text": 1,
+        "text_image": 1,
+        "text_text": 1,
+        "image_text_text": 2,
+        "text_text_text": 2,
+        "samples_per_task": 2,
+    }
+}
+GOLDEN_ORACLE_ROWS = [
+    "ii-000,3,1.000000,79",
+    "it-000,5,1.000000,2649",
+    "ti-000,3,1.000000,49",
+    "tt-000,3,1.000000,79",
+    "itt-000,2,1.000000,13923",
+    "itt-001,2,1.000000,13923",
+    "ttt-000,2,0.900000,4366",
+    "ttt-001,2,0.900000,4366",
+]
+
+
+def test_oracle_golden_rows(tmp_path) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(GOLDEN_CONFIG))
+    base = ["--config", str(config), "--seed", "0", "--out", str(tmp_path)]
+    assert main(base + ["gen"]) == 0
+    assert main(base + ["oracle", "--catalog", str(tmp_path / "catalog.json")]) == 0
+    lines = (tmp_path / "oracle.csv").read_text().splitlines()
+    assert lines[1:] == ["task_id,depth,best_reward,plans_examined"] + GOLDEN_ORACLE_ROWS
+
+
 def test_parse_emits_json(capsys) -> None:
     code = main(["parse", "--text", "module: Fill Mask, module: Style Transfer"])
     assert code == 0
