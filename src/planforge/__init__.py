@@ -22,10 +22,8 @@ from .decoder import (
     DecoderConfig,
     beam_search,
     decode,
-    decode_nonlinear,
     replay_steps,
     sample_plan,
-    sample_plans,
 )
 from .errors import EngineError
 from .evalkit import ReportTable, assign_slot, evaluate, task_reward

@@ -62,13 +62,20 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _read_json(path: str, what: str):
-    """Parse an input file; a missing, unreadable or non-JSON one is an EngineError."""
+def _read_text(path: str, what: str) -> str:
+    """Read an input file; a missing, unreadable or non-UTF-8 one is an EngineError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise EngineError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_json(path: str, what: str):
+    """Parse an input file; a missing, unreadable or non-JSON one is an EngineError."""
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
     except ValueError as exc:
         raise EngineError(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -196,10 +203,7 @@ def _cmd_exec(args, cfg: EngineConfig) -> int:
 
 def _cmd_parse(args, cfg: EngineConfig) -> int:
     registry = _load_registry(cfg)
-    text = args.text
-    if text is None:
-        with open(args.file, encoding="utf-8") as handle:
-            text = handle.read()
+    text = args.text if args.text is not None else _read_text(args.file, "text file")
     result = extract_sequence(text, registry)
     print(
         json.dumps(

@@ -30,17 +30,22 @@ class EngineConfig:
     sim: SimConstants = field(default=SimConstants())
 
 
-_SCALARS = (int, float, str, bool)
+def _fits(value, default) -> bool:
+    """A value fits a field of the default's type; an int also fits a float field."""
+    if type(default) is float and type(value) is int:
+        return True
+    return type(value) is type(default)
 
 
 def _from_dict(cls, raw: dict, section: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - allowed)
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(raw) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
     for key, value in raw.items():
-        if not isinstance(value, _SCALARS):
-            raise ConfigError(f"{section}.{key} must be a scalar")
+        if not _fits(value, defaults[key]):
+            expected = type(defaults[key]).__name__
+            raise ConfigError(f"{section}.{key} must be {expected}, got {type(value).__name__}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:

@@ -32,7 +32,7 @@ class Context:
 
 
 def shared(ctx: Context) -> Context:
-    return replace(ctx, prev_tool=SHARED_PREV)
+    return Context(ctx.task_category, SHARED_PREV, ctx.branch_modality, ctx.hint)
 
 
 def context_levels(ctx: Context) -> tuple[Context, ...]:

@@ -307,15 +307,16 @@ def apply_action(
         )
         branches[partner_idx] = replace(partner, consumed=True)
 
-    return replace(
-        state,
+    return BeamState(
         branches=tuple(branches),
         used=state.used | {token},
         nodes=state.nodes + (node,),
         next_id=state.next_id + 1,
         log_prob=state.log_prob + lp_delta,
         rr=(acting + 1) % n,
+        done=state.done,
         path=state.path + (token,),
+        output_node=state.output_node,
     )
 
 
@@ -335,14 +336,23 @@ def beam_search(
     registry: ToolRegistry,
     cfg: DecoderConfig,
 ) -> list[DecodedPlan]:
-    """Rank complete valid plans by episode log-probability."""
+    """Rank complete valid plans by episode log-probability.
+
+    Live states at a step have distinct paths of equal length, so
+    ``(-log_prob, path)`` orders their children totally, and a child's
+    key follows from its parent and token alone. Each step therefore
+    ranks every (state, token) candidate first and builds only the
+    ``beam_size`` survivors. An end token that completes a plan is
+    built at once, since finished plans are never pruned.
+    """
     live = [initial_state(task)]
+    # plan_hash -> best decoding of that plan
     finished: dict[str, DecodedPlan] = {}
 
     for _ in range(_step_cap(task, registry)):
         if not live:
             break
-        grown: list[BeamState] = []
+        candidates = []
         for state in live:
             frontier = step_frontier(state, task, registry, cfg)
             if frontier is None:
@@ -351,38 +361,33 @@ def beam_search(
                 frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
             )
             for token in frontier.actions:
-                child = apply_action(state, token, task, registry, lp_delta=scores[token])
-                if child.done:
+                delta = scores[token]
+                if token == END_TOKEN and sum(not b.consumed for b in state.branches) < 2:
+                    child = apply_action(state, token, task, registry, lp_delta=delta)
                     plan = to_plan(child)
                     key = plan_hash(plan)
                     best = finished.get(key)
                     if best is None or child.log_prob > best.log_prob:
                         finished[key] = DecodedPlan(plan, child.log_prob)
                 else:
-                    grown.append(child)
-        grown.sort(key=lambda s: (-s.log_prob, s.path))
-        live = grown[: cfg.beam_size]
+                    # Parent paths have equal length, so (path, token)
+                    # sorts like the child's path + (token,).
+                    candidates.append((-(state.log_prob + delta), state.path, token, state, delta))
+        candidates.sort()
+        live = [
+            apply_action(state, token, task, registry, lp_delta=delta)
+            for _, _, token, state, delta in candidates[: cfg.beam_size]
+        ]
 
     ranked = [
-        dp
-        for dp in finished.values()
+        (key, dp)
+        for key, dp in finished.items()
         if validate_plan(dp.plan, registry, task.input_signature, task.output_modality).ok
     ]
-    ranked.sort(key=lambda dp: (-dp.log_prob, plan_hash(dp.plan)))
     if not ranked:
         raise NoFeasiblePlan(f"beam found no valid plan for {task.id}")
-    return ranked
-
-
-def decode_nonlinear(
-    policy: Policy,
-    task: TaskSpec,
-    registry: ToolRegistry,
-    cfg: DecoderConfig,
-) -> list[DecodedPlan]:
-    if len(task.input_signature) != 2:
-        raise ValueError("nonlinear decoding handles exactly two task inputs")
-    return beam_search(policy, task, registry, cfg)
+    ranked.sort(key=lambda item: (-item[1].log_prob, item[0]))
+    return [dp for _, dp in ranked]
 
 
 def decode(
@@ -392,11 +397,9 @@ def decode(
     cfg: DecoderConfig,
 ) -> list[DecodedPlan]:
     arity = len(task.input_signature)
-    if arity == 1:
-        return beam_search(policy, task, registry, cfg)
-    if arity == 2:
-        return decode_nonlinear(policy, task, registry, cfg)
-    raise ValueError(f"tasks with {arity} inputs are not supported")
+    if arity not in (1, 2):
+        raise ValueError(f"tasks with {arity} inputs are not supported")
+    return beam_search(policy, task, registry, cfg)
 
 
 def _filtered_distribution(
@@ -486,18 +489,6 @@ def sample_plan(
         if validate_plan(plan, registry, task.input_signature, task.output_modality).ok:
             return plan
     raise NoFeasiblePlan(f"sampling kept dead-ending on {task.id}")
-
-
-def sample_plans(
-    policy: Policy,
-    task: TaskSpec,
-    registry: ToolRegistry,
-    cfg: DecoderConfig,
-    count: int,
-    rng: random.Random,
-    epsilon: float = 0.0,
-) -> list[PlanGraph]:
-    return [sample_plan(policy, task, registry, cfg, rng, epsilon) for _ in range(count)]
 
 
 def _map_ref(ref: InputRef, id_map: dict[int, int]) -> InputRef | None:

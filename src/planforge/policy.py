@@ -43,14 +43,22 @@ def _log_softmax(logits: dict[str, float], order: Sequence[str]) -> dict[str, fl
     return {a: logits[a] - log_total for a in order}
 
 
+def _level_log_probs(
+    params: PolicyParams, levels: tuple[Context, ...], allowed: Sequence[str]
+) -> dict[str, float]:
+    """score_tokens given the context's backoff levels, summed in order."""
+    values = params.values
+    logits = {a: sum(values.get((level, a), 0.0) for level in levels) for a in allowed}
+    return _log_softmax(logits, allowed)
+
+
 def score_tokens(
     params: PolicyParams, ctx: Context, allowed: Sequence[str]
 ) -> dict[str, float]:
     """Normalized log-probabilities over the allowed tokens."""
     if not allowed:
         raise EmptyAllowedSet("no tokens to score")
-    logits = {a: effective_logit(params, ctx, a) for a in allowed}
-    return _log_softmax(logits, allowed)
+    return _level_log_probs(params, context_levels(ctx), allowed)
 
 
 def log_prob(
@@ -74,12 +82,13 @@ def grad_log_prob(
     """
     grad: dict[tuple[Context, str], float] = {}
     for step in replay_steps(plan, task, registry):
-        log_probs = score_tokens(params, step.context, step.actions)
+        levels = context_levels(step.context)
+        log_probs = _level_log_probs(params, levels, step.actions)
         for token in step.actions:
             g = (1.0 if token == step.chosen else 0.0) - math.exp(log_probs[token])
             if g == 0.0:
                 continue
-            for level in context_levels(step.context):
+            for level in levels:
                 key = (level, token)
                 grad[key] = grad.get(key, 0.0) + g
     return grad

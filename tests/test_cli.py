@@ -250,6 +250,28 @@ def test_parse_emits_json(capsys) -> None:
     assert doc["dropped"] == [{"reason": "not in registry", "text": "Style Transfer"}]
 
 
+def test_parse_reads_text_file(tmp_path, capsys) -> None:
+    text = tmp_path / "plan.txt"
+    text.write_text("module: Fill Mask, module: Style Transfer", encoding="utf-8")
+    assert main(["parse", "--file", str(text)]) == 0
+    assert json.loads(capsys.readouterr().out)["sequence"] == ["Fill Mask"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_parse_unreadable_file_is_an_engine_error(tmp_path, capsys, kind) -> None:
+    path = tmp_path / "plan.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"module: Fill Mask \xff\xfe")
+    assert main(["parse", "--file", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "EngineError"
+    assert str(path) in error["message"]
+
+
 def test_train_writes_checkpoint_and_history(ws) -> None:
     out = ws["out"]
     checkpoint = json.loads((out / "checkpoint.json").read_text())

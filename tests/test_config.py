@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,34 @@ def test_bad_values_are_wrapped() -> None:
         config_from_json({"decoder": {"beam_size": 0}})
     with pytest.raises(ConfigError):
         config_from_json({"decoder": {"sampling": "annealed"}})
+
+
+def test_scalar_types_must_match_the_defaults() -> None:
+    with pytest.raises(ConfigError, match="train.epochs must be int, got str"):
+        config_from_json({"train": {"epochs": "3"}})
+    with pytest.raises(ConfigError, match="decoder.beam_size must be int, got bool"):
+        config_from_json({"decoder": {"beam_size": True}})
+    with pytest.raises(ConfigError):
+        config_from_json({"train": {"epochs": 3.0}})
+    with pytest.raises(ConfigError):
+        config_from_json({"train": {"sampling": {"temperature": "hot"}}})
+    with pytest.raises(ConfigError):
+        config_from_json({"sim": {"beta": [0.8]}})
+
+
+def test_int_is_accepted_for_a_float_field() -> None:
+    cfg = config_from_json({"train": {"lr": 1}, "sim": {"beta": 1}})
+    assert cfg.train.lr == 1
+    assert cfg.sim.beta == 1
+
+
+def test_readme_config_example_loads() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg = config_from_json(json.loads(blocks[0]))
+    assert cfg.sim.beta == 0.8
+    assert cfg.decoder.beam_size == 30
 
 
 def test_input_document_is_not_mutated() -> None:

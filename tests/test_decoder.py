@@ -3,12 +3,23 @@ from __future__ import annotations
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from planforge.benchgen import build_task, oracle_best_plan, required_oracle_depth
+from planforge.benchgen import (
+    CatalogConfig,
+    build_task,
+    category_space,
+    generate_catalog,
+    oracle_best_plan,
+    required_oracle_depth,
+)
 from planforge.context import END_TOKEN
 from planforge.decoder import (
     DecoderConfig,
+    StepView,
+    _step_cap,
     allowed_tokens,
     apply_action,
     beam_search,
@@ -30,11 +41,13 @@ from planforge.plan_ir import (
 )
 from planforge.plan_ir import MetricSlot
 from planforge.policy import GuidedPlanPolicy, PolicyParams, TabularPolicy, UniformPolicy
-from planforge.registry import ToolRegistry, ToolSpec
+from planforge.registry import ToolRegistry, ToolSpec, default_registry
 from planforge.simkit import Corruption, Modality, SemanticId
 
 I = Modality.IMAGE
 T = Modality.TEXT
+C = Corruption
+S = SemanticId
 
 MINI = ToolRegistry(
     (
@@ -240,3 +253,139 @@ def test_infeasible_task_raises() -> None:
     )
     with pytest.raises(NoFeasiblePlan):
         beam_search(UniformPolicy(), task, lonely, DecoderConfig())
+
+
+def _reference_beam(policy, task, registry, cfg) -> list[tuple[str, float]]:
+    """Beam search that builds every child, as (plan_hash, log_prob) ranked.
+
+    Invariant checked on the way: all live states at a step have distinct
+    paths of equal length, so (-log_prob, path) is a total order on them
+    and on their children.
+    """
+    live = [initial_state(task)]
+    finished: dict[str, float] = {}
+    for _ in range(_step_cap(task, registry)):
+        if not live:
+            break
+        assert len({len(s.path) for s in live}) == 1
+        assert len({s.path for s in live}) == len(live)
+        grown = []
+        for state in live:
+            frontier = step_frontier(state, task, registry, cfg)
+            if frontier is None:
+                continue
+            scores = policy.score_step(
+                frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
+            )
+            for token in frontier.actions:
+                child = apply_action(state, token, task, registry, lp_delta=scores[token])
+                if child.done:
+                    plan = to_plan(child)
+                    if validate_plan(
+                        plan, registry, task.input_signature, task.output_modality
+                    ).ok:
+                        key = plan_hash(plan)
+                        finished[key] = max(finished.get(key, -math.inf), child.log_prob)
+                else:
+                    grown.append(child)
+        grown.sort(key=lambda s: (-s.log_prob, s.path))
+        live = grown[: cfg.beam_size]
+    return sorted(finished.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+class _RandomTable(dict):
+    """Tabular policy weights drawn per (context, token) from a seeded stream.
+
+    Weights come from a five-value set, so different paths often tie on
+    log-probability and the path tie-break is exercised.
+    """
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self.seed = seed
+
+    def get(self, key, default=None):
+        ctx, token = key
+        return random.Random(f"{self.seed}|{ctx}|{token}").choice((-1.0, -0.5, 0.0, 0.5, 1.0))
+
+
+_REGISTRY = default_registry()
+_SPACES = {category: category_space(category, CatalogConfig()) for category in TaskCategory}
+
+
+@st.composite
+def _beam_cases(draw):
+    category = draw(st.sampled_from(list(TaskCategory)))
+    chains, builder = draw(st.sampled_from(_SPACES[category]))
+    beam_size = draw(st.integers(min_value=1, max_value=8))
+    table_seed = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)))
+    return category, chains, builder, beam_size, table_seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(_beam_cases())
+@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), 1, None))
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK,), (C.MASK,)), (S.QA,), 8, 7))
+@example((TaskCategory.IMAGE_TO_TEXT, ((C.GRAY, C.BLUR),), (S.CAPTION,), 3, 11))
+def test_beam_search_matches_reference_beam(case) -> None:
+    """Building only the surviving children changes no ranked plan or log-probability."""
+    category, chains, builder, beam_size, table_seed = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    policy = (
+        UniformPolicy()
+        if table_seed is None
+        else TabularPolicy(PolicyParams(_RandomTable(table_seed)))
+    )
+    cfg = DecoderConfig(beam_size=beam_size)
+    expected = _reference_beam(policy, task, _REGISTRY, cfg)
+    if not expected:
+        with pytest.raises(NoFeasiblePlan):
+            beam_search(policy, task, _REGISTRY, cfg)
+        return
+    got = beam_search(policy, task, _REGISTRY, cfg)
+    assert [(plan_hash(dp.plan), dp.log_prob) for dp in got] == expected
+
+
+# Uniform-policy decoding of a small seeded catalog: (task, beam size,
+# plans found, first 12 hex digits of the top three plan hashes), as
+# produced by the beam that built every child.
+GOLDEN_BEAM_ROWS = [
+    ("ii-000", 4, 9, ["8e93bb4e8404", "8f493b6624fd", "2526e684ecbe"]),
+    ("ii-000", 30, 71, ["636661b8d202", "8e93bb4e8404", "8f493b6624fd"]),
+    ("it-000", 4, 17, ["7ff8cc98adc6", "c0deae32c5c1", "09d6752a7906"]),
+    ("it-000", 30, 111, ["2445576dd93e", "7ff8cc98adc6", "c0deae32c5c1"]),
+    ("ti-000", 4, 9, ["af49cb899ee3", "b6c28f3878cc", "112f1ae7e4ee"]),
+    ("ti-000", 30, 71, ["c8947b96ec88", "6c17d9c35a2d", "a172e63519a5"]),
+    ("tt-000", 4, 15, ["04841c00a299", "2c531965c344", "d0360e13b93b"]),
+    ("tt-000", 30, 77, ["04841c00a299", "2c531965c344", "d0360e13b93b"]),
+    ("itt-000", 4, 24, ["dc4113c5d234", "284d68dbe5c0", "48bcc89419dd"]),
+    ("itt-000", 30, 75, ["760113e8bb03", "0789c2b41746", "42e8ad784519"]),
+    ("itt-001", 4, 24, ["dc4113c5d234", "284d68dbe5c0", "48bcc89419dd"]),
+    ("itt-001", 30, 75, ["760113e8bb03", "0789c2b41746", "42e8ad784519"]),
+    ("ttt-000", 4, 14, ["4e477cfdcd9d", "4841ddda7bbf", "7f73d257fde9"]),
+    ("ttt-000", 30, 88, ["4e477cfdcd9d", "21161e7010d6", "4841ddda7bbf"]),
+    ("ttt-001", 4, 14, ["4e477cfdcd9d", "4841ddda7bbf", "7f73d257fde9"]),
+    ("ttt-001", 30, 88, ["4e477cfdcd9d", "21161e7010d6", "4841ddda7bbf"]),
+]
+
+
+def test_beam_golden_top_plans() -> None:
+    catalog = generate_catalog(
+        CatalogConfig(
+            image_image=1,
+            image_text=1,
+            text_image=1,
+            text_text=1,
+            image_text_text=2,
+            text_text_text=2,
+            samples_per_task=2,
+        )
+    )
+    rows = []
+    for task in catalog:
+        for beam_size in (4, 30):
+            results = decode(UniformPolicy(), task, _REGISTRY, DecoderConfig(beam_size=beam_size))
+            rows.append(
+                (task.id, beam_size, len(results), [plan_hash(dp.plan)[:12] for dp in results[:3]])
+            )
+    assert rows == GOLDEN_BEAM_ROWS
