@@ -28,7 +28,7 @@ from .config import EngineConfig, config_sha256, load_config
 from .decoder import decode
 from .errors import EngineError
 from .evalkit import comparison_to_csv, evaluate, report_to_json
-from .executor import execute, trace_record
+from .executor import execute_task, trace_record
 from .parser import extract_sequence
 from .plan_ir import TaskSpec, plan_from_json, plan_to_json, validate_plan
 from .policy import (
@@ -40,7 +40,6 @@ from .policy import (
 )
 from .registry import default_registry, registry_from_json
 from .rltf import gold_plans, run_schema_comparison, train
-from .simkit import similarity
 
 
 def _manifest(cfg: EngineConfig, command: str, seed: int | None) -> dict:
@@ -179,25 +178,16 @@ def _cmd_exec(args, cfg: EngineConfig) -> int:
         ]
         print(json.dumps({"error": {"type": "InvalidPlan", "violations": violations}}), file=sys.stderr)
         return 2
-    records = []
-    scores = []
-    for sample in task.dataset:
-        trace = execute(plan, sample.inputs, registry, cfg.sim)
-        score = (
-            0.0
-            if trace.error is not None or trace.final is None
-            else similarity(trace.final, sample.reference, cfg.sim)
-        )
-        scores.append(score)
-        records.append(trace_record(task.id, plan, score, trace))
+    results = execute_task(plan, task, registry, cfg.sim)
+    records = [trace_record(task.id, plan, score, trace) for trace, score in results]
     trace_path = out / "trace.jsonl"
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text(
         "".join(json.dumps(record, sort_keys=True) + "\n" for record in records),
         encoding="utf-8",
     )
-    mean = sum(scores) / len(scores) if scores else 0.0
-    print(f"{task.id}: mean score {mean:.6f} over {len(scores)} samples")
+    mean = sum(score for _, score in results) / len(results) if results else 0.0
+    print(f"{task.id}: mean score {mean:.6f} over {len(results)} samples")
     return 0
 
 

@@ -85,3 +85,7 @@ class InfeasibleCount(EngineError):
 
 class ConfigError(EngineError):
     """Configuration file is malformed or has unknown keys."""
+
+
+class PeerProtocolError(EngineError):
+    """A RemotePolicy peer sent a message that breaks the wire protocol."""

@@ -3,7 +3,9 @@
 Every task lands in exactly one metric slot based on what its reference
 recipe produces: generated images are scored in the clip slot, text
 outputs in the bert slot, everything else (restored images) in the vit
-slot. A report carries the per-slot mean rewards plus their average.
+slot. A report carries the per-slot mean rewards plus the average of
+the slots that hold at least one task; a slot no task landed in has no
+mean and is reported as null (n/a in CSV).
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ def assign_slot(
 
 @dataclass(frozen=True, slots=True)
 class ReportTable:
-    clip: float
-    bert: float
-    vit: float
+    clip: float | None
+    bert: float | None
+    vit: float | None
     overall: float
     per_task: tuple[tuple[str, float], ...]
     failures: tuple[str, ...]
 
-    def slot(self, slot: MetricSlot) -> float:
+    def slot(self, slot: MetricSlot) -> float | None:
         return {MetricSlot.CLIP: self.clip, MetricSlot.BERT: self.bert, MetricSlot.VIT: self.vit}[slot]
 
 
@@ -59,7 +61,8 @@ def evaluate(
     """Decode the top plan per task and score it on the task's dataset.
 
     Tasks the decoder cannot solve score zero and are listed as
-    failures rather than aborting the whole run.
+    failures rather than aborting the whole run. Overall is the mean of
+    the populated slots, 0.0 when there are no tasks.
     """
     per_task: list[tuple[str, float]] = []
     failures: list[str] = []
@@ -74,14 +77,13 @@ def evaluate(
         per_task.append((task.id, reward))
         by_slot[task.metric_slot].append(reward)
 
-    slot_mean = {
-        slot: (fmean(values) if values else 0.0) for slot, values in by_slot.items()
-    }
+    slot_mean = {slot: (fmean(values) if values else None) for slot, values in by_slot.items()}
+    populated = [mean for mean in slot_mean.values() if mean is not None]
     return ReportTable(
         clip=slot_mean[MetricSlot.CLIP],
         bert=slot_mean[MetricSlot.BERT],
         vit=slot_mean[MetricSlot.VIT],
-        overall=fmean(slot_mean.values()),
+        overall=fmean(populated) if populated else 0.0,
         per_task=tuple(per_task),
         failures=tuple(failures),
     )
@@ -99,13 +101,14 @@ def report_to_json(table: ReportTable) -> dict:
 
 
 def comparison_to_csv(tables: dict[str, ReportTable | None], manifest: dict) -> str:
-    """CSV with one column per schema; absent schemas render as n/a."""
+    """CSV with one column per schema; absent schemas and empty slots render as n/a."""
     schemas = list(tables)
     lines = [f"# manifest {json.dumps(manifest, sort_keys=True)}"]
     lines.append("metric," + ",".join(schemas))
 
     def cell(table: ReportTable | None, attr: str) -> str:
-        return "n/a" if table is None else f"{getattr(table, attr):.6f}"
+        value = None if table is None else getattr(table, attr)
+        return "n/a" if value is None else f"{value:.6f}"
 
     for attr, label in (("clip", "clip"), ("bert", "bert"), ("vit", "vit"), ("overall", "overall")):
         lines.append(label + "," + ",".join(cell(tables[s], attr) for s in schemas))

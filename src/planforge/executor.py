@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EngineError
-from .plan_ir import NodeOutput, PlanGraph, Sample, TaskInput, TaskSpec, plan_hash, topological_stages
+from .plan_ir import NodeOutput, PlanGraph, TaskInput, TaskSpec, plan_hash, topological_stages
 from .registry import ToolRegistry
 from .simkit import DEFAULT_CONSTANTS, Payload, SimConstants, apply_tool, payload_to_json, similarity
 
@@ -77,18 +77,6 @@ def execute_task(
             score = similarity(trace.final, sample.reference, constants)
         results.append((trace, score))
     return results
-
-
-def sample_score(
-    plan: PlanGraph,
-    sample: Sample,
-    registry: ToolRegistry,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-) -> float:
-    trace = execute(plan, sample.inputs, registry, constants)
-    if trace.error is not None or trace.final is None:
-        return 0.0
-    return similarity(trace.final, sample.reference, constants)
 
 
 def trace_record(task_id: str, plan: PlanGraph, score: float, trace: ExecutionTrace) -> dict:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .context import Context, context_from_json, context_levels, context_to_json
-from .decoder import StepView, expected_action, replay_steps
-from .errors import EmptyAllowedSet
+from .decoder import ReplayStep, StepView, expected_action, replay_steps
+from .errors import EmptyAllowedSet, PeerProtocolError
 from .plan_ir import PlanGraph, TaskSpec
 from .registry import ToolRegistry
 
@@ -74,14 +74,21 @@ def log_prob(
 def grad_log_prob(
     params: PolicyParams, plan: PlanGraph, task: TaskSpec, registry: ToolRegistry
 ) -> dict[tuple[Context, str], float]:
-    """Gradient of log_prob with respect to every touched table entry.
+    """Gradient of log_prob with respect to every touched table entry."""
+    return grad_log_prob_steps(params, replay_steps(plan, task, registry))
+
+
+def grad_log_prob_steps(
+    params: PolicyParams, steps: Sequence[ReplayStep]
+) -> dict[tuple[Context, str], float]:
+    """Gradient of the log-probability of a replayed episode.
 
     Per step and token the softmax gradient is (chosen - p); it lands on
     each backoff level of the step context, so both levels of the sum
     contribute and the per-level gradient sums to zero across tokens.
     """
     grad: dict[tuple[Context, str], float] = {}
-    for step in replay_steps(plan, task, registry):
+    for step in steps:
         levels = context_levels(step.context)
         log_probs = _level_log_probs(params, levels, step.actions)
         for token in step.actions:
@@ -97,10 +104,16 @@ def grad_log_prob(
 def apply_gradient(
     params: PolicyParams, grad: dict[tuple[Context, str], float], scale: float
 ) -> PolicyParams:
-    values = dict(params.values)
+    updated = params.copy()
+    _add_gradient(updated.values, grad, scale)
+    return updated
+
+
+def _add_gradient(
+    values: dict[tuple[Context, str], float], grad: dict[tuple[Context, str], float], scale: float
+) -> None:
     for key, g in grad.items():
         values[key] = values.get(key, 0.0) + scale * g
-    return PolicyParams(values)
 
 
 def pretrain_supervised(
@@ -110,12 +123,18 @@ def pretrain_supervised(
     epochs: int,
     lr: float = 0.1,
 ) -> PolicyParams:
-    """Maximize the log-likelihood of gold plans, one example at a time."""
+    """Maximize the log-likelihood of gold plans, one example at a time.
+
+    Each gold plan is replayed once; its steps do not depend on the
+    parameters, so every epoch reuses them.
+    """
     current = params.copy()
+    if epochs <= 0:
+        return current
+    episodes = [replay_steps(plan, task, registry) for task, plan in labeled]
     for _ in range(epochs):
-        for task, plan in labeled:
-            grad = grad_log_prob(current, plan, task, registry)
-            current = apply_gradient(current, grad, lr)
+        for steps in episodes:
+            _add_gradient(current.values, grad_log_prob_steps(current, steps), lr)
     return current
 
 
@@ -185,8 +204,11 @@ class RemotePolicy:
     """Scores steps over a newline-delimited JSON byte stream.
 
     One request per line: {"context": {...}, "allowed": [...]}. The
-    peer answers {"scores": {token: logit}} on one line. Returned
-    logits are renormalized locally, so the peer does not have to.
+    peer answers {"scores": {token: logit}} on one line, or
+    {"error": "..."} when it cannot read the request. Returned logits
+    are renormalized locally, so the peer does not have to. A reply
+    that is not JSON, reports an error, lacks scores or holds a
+    non-numeric or non-finite score raises PeerProtocolError.
     """
 
     def __init__(self, transport) -> None:
@@ -203,9 +225,42 @@ class RemotePolicy:
         line = self.transport.readline()
         if not line:
             raise ConnectionError("policy peer closed the stream")
-        doc = json.loads(line)
-        logits = {a: float(doc["scores"].get(a, 0.0)) for a in actions}
+        scores = _reply_scores(line)
+        logits = {a: scores.get(a, 0.0) for a in actions}
         return _log_softmax(logits, actions)
+
+
+def _json_object(line: bytes, what: str) -> dict:
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        raise PeerProtocolError(f"{what} is not JSON") from None
+    if not isinstance(doc, dict):
+        raise PeerProtocolError(f"{what} is not a JSON object")
+    return doc
+
+
+def _reply_scores(line: bytes) -> dict[str, float]:
+    doc = _json_object(line, "policy peer reply")
+    if "error" in doc:
+        raise PeerProtocolError(f"policy peer reported an error: {doc['error']!r}")
+    scores = doc.get("scores")
+    if not isinstance(scores, dict):
+        raise PeerProtocolError("policy peer reply lacks a scores object")
+    for token, value in scores.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise PeerProtocolError(f"policy peer sent score {value!r} for {token!r}; want a finite number")
+    return {token: float(value) for token, value in scores.items()}
+
+
+def _request(line: bytes) -> tuple[Context, list[str]]:
+    doc = _json_object(line, "request")
+    ctx, allowed = doc.get("context"), doc.get("allowed")
+    if not isinstance(ctx, dict) or not all(isinstance(ctx.get(k), str) for k in Context.__slots__):
+        raise PeerProtocolError(f"request context must hold string fields {', '.join(Context.__slots__)}")
+    if not isinstance(allowed, list) or not all(isinstance(a, str) for a in allowed):
+        raise PeerProtocolError("request allowed must be a list of strings")
+    return context_from_json(ctx), allowed
 
 
 def serve_requests(
@@ -213,16 +268,23 @@ def serve_requests(
     score_fn: Callable[[Context, list[str]], dict[str, float]],
     max_requests: int | None = None,
 ) -> int:
-    """Answer RemotePolicy requests from a byte stream. Returns count served."""
+    """Answer RemotePolicy requests from a byte stream. Returns count served.
+
+    A malformed request line is answered with {"error": "..."} and counts
+    as served; the loop keeps reading.
+    """
     served = 0
     while max_requests is None or served < max_requests:
         line = transport.readline()
         if not line:
             break
-        doc = json.loads(line)
-        ctx = context_from_json(doc["context"])
-        scores = score_fn(ctx, list(doc["allowed"]))
-        transport.write((json.dumps({"scores": scores}) + "\n").encode())
+        try:
+            ctx, allowed = _request(line)
+        except PeerProtocolError as exc:
+            reply = {"error": str(exc)}
+        else:
+            reply = {"scores": score_fn(ctx, allowed)}
+        transport.write((json.dumps(reply) + "\n").encode())
         transport.flush()
         served += 1
     return served

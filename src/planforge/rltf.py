@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from statistics import fmean
 
 from .benchgen import oracle_best_plan, required_oracle_depth
-from .decoder import DecoderConfig, sample_plan
+from .decoder import DecoderConfig, ReplayStep, replay_steps, sample_plan
 from .errors import NoFeasiblePlan
 from .evalkit import ReportTable, evaluate, task_reward
 from .plan_ir import PlanGraph, TaskSpec
@@ -28,7 +28,7 @@ from .policy import (
     PolicyParams,
     TabularPolicy,
     apply_gradient,
-    grad_log_prob,
+    grad_log_prob_steps,
     pretrain_supervised,
 )
 from .registry import ToolRegistry
@@ -76,29 +76,29 @@ class HistoryRow:
 
 def reinforce_step(
     params: PolicyParams,
-    batch: list[tuple[TaskSpec, PlanGraph, float]],
+    batch: list[tuple[list[ReplayStep], float]],
     baseline: BaselineState,
     lr: float,
-    registry: ToolRegistry,
     momentum: float = 0.9,
 ) -> tuple[PolicyParams, BaselineState]:
-    """One policy-gradient update from a batch of scored rollouts.
+    """One policy-gradient update from a batch of replayed, scored rollouts.
 
-    Gradients are taken at the incoming parameters; the baseline that
-    centers the rewards is the one carried in, and the refreshed
-    baseline only affects the next call.
+    Each rollout is its episode's replay steps and its reward. Gradients
+    are taken at the incoming parameters; the baseline that centers the
+    rewards is the one carried in, and the refreshed baseline only
+    affects the next call.
     """
     if not batch:
         return params, baseline
     accum: dict = {}
-    for task, plan, reward in batch:
+    for steps, reward in batch:
         advantage = reward - baseline.value
         if advantage == 0.0:
             continue
-        for key, g in grad_log_prob(params, plan, task, registry).items():
+        for key, g in grad_log_prob_steps(params, steps).items():
             accum[key] = accum.get(key, 0.0) + g * advantage
     updated = apply_gradient(params, accum, lr / len(batch))
-    batch_mean = fmean(reward for _, _, reward in batch)
+    batch_mean = fmean(reward for _, reward in batch)
     return updated, update_baseline(baseline, batch_mean, momentum)
 
 
@@ -109,16 +109,21 @@ def train(
     cfg: TrainConfig,
     constants: SimConstants = DEFAULT_CONSTANTS,
 ) -> tuple[PolicyParams, tuple[HistoryRow, ...]]:
-    """Epochs of per-task rollout batches. Returns params and history."""
+    """Epochs of per-task rollout batches. Returns params and history.
+
+    A plan's reward and replay depend only on the plan and its task, so
+    each distinct plan sampled for a task is executed and replayed once.
+    """
     rng = random.Random(cfg.seed)
     epsilon = cfg.epsilon
     baseline = BaselineState()
     current = params.copy()
     history: list[HistoryRow] = []
+    memos: list[dict[PlanGraph, tuple[float, list[ReplayStep]]]] = [{} for _ in tasks]
     for epoch in range(cfg.epochs):
         epoch_rewards: list[float] = []
-        for task in tasks:
-            batch: list[tuple[TaskSpec, PlanGraph, float]] = []
+        for task, memo in zip(tasks, memos):
+            batch: list[tuple[list[ReplayStep], float]] = []
             for _ in range(cfg.rollouts_per_task):
                 try:
                     plan = sample_plan(
@@ -126,13 +131,19 @@ def train(
                     )
                 except NoFeasiblePlan:
                     continue
-                batch.append((task, plan, task_reward(plan, task, registry, constants)))
+                if plan not in memo:
+                    memo[plan] = (
+                        task_reward(plan, task, registry, constants),
+                        replay_steps(plan, task, registry),
+                    )
+                reward, steps = memo[plan]
+                batch.append((steps, reward))
             if not batch:
                 continue
             current, baseline = reinforce_step(
-                current, batch, baseline, cfg.lr, registry, cfg.baseline_momentum
+                current, batch, baseline, cfg.lr, cfg.baseline_momentum
             )
-            epoch_rewards.extend(reward for _, _, reward in batch)
+            epoch_rewards.extend(reward for _, reward in batch)
         history.append(
             HistoryRow(
                 epoch=epoch,

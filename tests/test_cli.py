@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -313,3 +314,19 @@ def test_compare_reports_all_schemas(ws, tmp_path, capsys) -> None:
     assert ",n/a," in csv_lines[-1]
     assert (out / "history.csv").exists()
     assert (out / "checkpoint.json").exists()
+
+
+def test_eval_overall_averages_only_populated_slots(tmp_path, capsys) -> None:
+    # ii-000 of the stock catalog lands in the vit slot alone; the empty
+    # clip and bert slots must not pull overall towards zero.
+    out = tmp_path / "stock"
+    assert main(["--out", str(out), "gen"]) == 0
+    code = main(["--out", str(out), "eval", "--catalog", str(out / "catalog.json"), "--task", "ii-000"])
+    assert code == 0
+    assert "overall 0.810000 on 1 tasks" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["clip"] is None and report["bert"] is None
+    assert report["overall"] == report["vit"]
+    assert math.isclose(report["vit"], 0.81)
+    csv_lines = (out / "report.csv").read_text().splitlines()
+    assert csv_lines[2:] == ["clip,n/a", "bert,n/a", "vit,0.810000", "overall,0.810000"]

@@ -389,3 +389,47 @@ def test_beam_golden_top_plans() -> None:
                 (task.id, beam_size, len(results), [plan_hash(dp.plan)[:12] for dp in results[:3]])
             )
     assert rows == GOLDEN_BEAM_ROWS
+
+
+@st.composite
+def _sample_cases(draw):
+    category = draw(st.sampled_from(list(TaskCategory)))
+    chains, builder = draw(st.sampled_from(_SPACES[category]))
+    table_seed = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)))
+    epsilon = draw(st.sampled_from((0.0, 0.3)))
+    max_tools = draw(st.integers(min_value=1, max_value=6))
+    rng_seed = draw(st.integers(min_value=0, max_value=2**16))
+    return category, chains, builder, table_seed, epsilon, max_tools, rng_seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sample_cases())
+@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), None, 0.3, 6, 0))
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK,), (C.MASK,)), (S.QA,), 7, 0.0, 1, 1))
+@example((TaskCategory.IMAGE_TO_IMAGE, ((C.GRAY, C.BLUR, C.NOISE),), (), 3, 0.3, 2, 2))
+def test_sampled_plans_replay_to_themselves(case) -> None:
+    """Training replays each sampled plan: the replay must exist and rebuild the plan.
+
+    The sampler filters tools by max_tools_per_branch and replay does
+    not, so the replay's action sets may be wider than the sampler's;
+    the chosen tokens must still be the ones that emit the plan.
+    """
+    category, chains, builder, table_seed, epsilon, max_tools, rng_seed = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    policy = (
+        UniformPolicy()
+        if table_seed is None
+        else TabularPolicy(PolicyParams(_RandomTable(table_seed)))
+    )
+    cfg = DecoderConfig(sampling="stochastic", max_tools_per_branch=max_tools)
+    try:
+        plan = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
+    except NoFeasiblePlan:
+        return
+    steps = replay_steps(plan, task, _REGISTRY)
+    state = initial_state(task)
+    for step in steps:
+        assert step.chosen in step.actions
+        state = apply_action(state, step.chosen, task, _REGISTRY)
+    assert state.done
+    assert to_plan(state) == plan

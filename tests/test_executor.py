@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
-from planforge.executor import execute, execute_task, sample_score, trace_record
+from planforge.executor import execute, execute_task, trace_record
 from planforge.plan_ir import (
     NodeOutput,
     PlanGraph,
@@ -70,7 +71,7 @@ def test_execute_task_scores_each_sample(catalog, registry) -> None:
     for trace, score in results:
         assert trace.error is None
         assert 0.0 < score <= 1.0
-        assert math.isclose(score, sample_score(plan, task.dataset[0], registry))
+        assert math.isclose(score, results[0][1])
 
 
 def _gold_chain(task, registry):
@@ -79,11 +80,13 @@ def _gold_chain(task, registry):
     return oracle_best_plan(task, registry, required_oracle_depth(task)).best_plan.nodes
 
 
-def test_failed_sample_scores_zero(registry) -> None:
+def test_failed_sample_scores_zero(catalog, registry) -> None:
     german = make_leaf(T, "q", Language.DE)
     sample = Sample(inputs=(german,), reference=make_leaf(T, "q"))
+    task = replace(next(t for t in catalog if t.id.startswith("tt-")), dataset=(sample,))
     plan = from_linear_sequence(["Machine Translation"], registry)
-    assert sample_score(plan, sample, registry) == 0.0
+    [(_, score)] = execute_task(plan, task, registry)
+    assert score == 0.0
 
 
 def test_trace_record_shape(registry) -> None:
@@ -91,7 +94,9 @@ def test_trace_record_shape(registry) -> None:
     plan = from_linear_sequence(["Image Captioning"], registry)
     trace = execute(plan, (leaf,), registry)
     record = trace_record("ii-000", plan, 0.5, trace)
+    assert set(record) == {"task_id", "plan_hash", "score", "final_payload", "error"}
     assert record["task_id"] == "ii-000"
+    assert record["score"] == 0.5
     assert record["plan_hash"] == plan_hash(plan)
     assert record["error"] is None
     assert record["final_payload"]["modality"] == "Text"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import io
+import json
 import math
 import random
 import socket
@@ -9,9 +11,9 @@ import threading
 import pytest
 
 from planforge.benchgen import oracle_best_plan, required_oracle_depth
-from planforge.context import Context, context_levels
+from planforge.context import Context, context_levels, context_to_json
 from planforge.decoder import DecoderConfig, StepView, decode, initial_state, replay_steps
-from planforge.errors import EmptyAllowedSet
+from planforge.errors import EmptyAllowedSet, EngineError, PeerProtocolError
 from planforge.policy import (
     GuidedPlanPolicy,
     PolicyParams,
@@ -213,3 +215,86 @@ def test_remote_policy_reports_closed_peer() -> None:
     with contextlib.suppress(OSError):
         client_io.close()
     left.close()
+
+
+class _Pipe:
+    """In-memory transport: reads the given bytes, collects what is written."""
+
+    def __init__(self, incoming: bytes) -> None:
+        self.incoming = io.BytesIO(incoming)
+        self.outgoing = io.BytesIO()
+
+    def readline(self) -> bytes:
+        return self.incoming.readline()
+
+    def write(self, data: bytes) -> None:
+        self.outgoing.write(data)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"not json\n",
+        b"\xff\xfe\n",
+        b"[1, 2]\n",
+        b'{"logits": {"a": 1.0}}\n',
+        b'{"scores": [1.0]}\n',
+        b'{"scores": {"a": "high"}}\n',
+        b'{"scores": {"a": null}}\n',
+        b'{"scores": {"a": true}}\n',
+        b'{"scores": {"a": NaN}}\n',
+        b'{"scores": {"b": -Infinity}}\n',
+        b'{"error": "bad request"}\n',
+    ],
+)
+def test_remote_policy_rejects_a_bad_reply(reply) -> None:
+    remote = RemotePolicy(_Pipe(reply))
+    with pytest.raises(PeerProtocolError) as info:
+        remote.score_step(CTX, ["a", "b"], None)
+    assert isinstance(info.value, EngineError)
+    assert "\n" not in str(info.value)
+
+
+def test_serve_requests_answers_malformed_lines_and_keeps_serving() -> None:
+    good = json.dumps({"context": context_to_json(CTX), "allowed": ["a", "b"]})
+    lines = [
+        "garbage",
+        "[]",
+        json.dumps({"context": {"hint": "x"}, "allowed": ["a"]}),
+        json.dumps({"context": context_to_json(CTX), "allowed": "a"}),
+        json.dumps({"context": context_to_json(CTX), "allowed": [1]}),
+        good,
+    ]
+    pipe = _Pipe("".join(line + "\n" for line in lines).encode())
+    seen = []
+
+    def peer(ctx: Context, allowed: list[str]) -> dict[str, float]:
+        seen.append((ctx, allowed))
+        return {a: 1.0 for a in allowed}
+
+    assert serve_requests(pipe, peer) == len(lines)
+    replies = [json.loads(line) for line in pipe.outgoing.getvalue().splitlines()]
+    assert len(replies) == len(lines)
+    for reply in replies[:-1]:
+        assert set(reply) == {"error"} and isinstance(reply["error"], str)
+    assert replies[-1] == {"scores": {"a": 1.0, "b": 1.0}}
+    assert seen == [(CTX, ["a", "b"])]
+
+
+def test_remote_policy_raises_on_the_servers_error_reply() -> None:
+    server = _Pipe(b"{not json\n")
+    serve_requests(server, lambda ctx, allowed: {})
+    remote = RemotePolicy(_Pipe(server.outgoing.getvalue()))
+    with pytest.raises(PeerProtocolError, match="request is not JSON"):
+        remote.score_step(CTX, ["a"], None)
+
+
+def test_remote_policy_accepts_integer_and_missing_scores() -> None:
+    remote = RemotePolicy(_Pipe(b'{"scores": {"a": 1, "c": 5.0}}\n'))
+    scores = remote.score_step(CTX, ["a", "b"], None)
+    assert math.isclose(math.exp(scores["a"]), math.e / (math.e + 1))
+    sent = json.loads(remote.transport.outgoing.getvalue())
+    assert sent == {"context": context_to_json(CTX), "allowed": ["a", "b"]}
