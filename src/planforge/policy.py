@@ -233,7 +233,7 @@ class RemotePolicy:
 def _json_object(line: bytes, what: str) -> dict:
     try:
         doc = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise PeerProtocolError(f"{what} is not JSON") from None
     if not isinstance(doc, dict):
         raise PeerProtocolError(f"{what} is not a JSON object")
@@ -247,10 +247,18 @@ def _reply_scores(line: bytes) -> dict[str, float]:
     scores = doc.get("scores")
     if not isinstance(scores, dict):
         raise PeerProtocolError("policy peer reply lacks a scores object")
+    result = {}
     for token, value in scores.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:
+                pass
+        if not math.isfinite(number):
             raise PeerProtocolError(f"policy peer sent score {value!r} for {token!r}; want a finite number")
-    return {token: float(value) for token, value in scores.items()}
+        result[token] = number
+    return result
 
 
 def _request(line: bytes) -> tuple[Context, list[str]]:

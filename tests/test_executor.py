@@ -21,6 +21,7 @@ from planforge.simkit import (
     apply_chain,
     make_leaf,
     payload_to_json,
+    similarity,
 )
 
 I = Modality.IMAGE
@@ -68,10 +69,12 @@ def test_execute_task_scores_each_sample(catalog, registry) -> None:
     plan = from_linear_sequence(seq, registry)
     results = execute_task(plan, task, registry)
     assert len(results) == len(task.dataset)
+    s0 = task.dataset[0]
+    expected = similarity(execute(plan, s0.inputs, registry).final, s0.reference)
     for trace, score in results:
         assert trace.error is None
         assert 0.0 < score <= 1.0
-        assert math.isclose(score, results[0][1])
+        assert math.isclose(score, expected)
 
 
 def _gold_chain(task, registry):

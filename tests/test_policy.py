@@ -248,6 +248,8 @@ class _Pipe:
         b'{"scores": {"a": NaN}}\n',
         b'{"scores": {"b": -Infinity}}\n',
         b'{"error": "bad request"}\n',
+        b'{"scores": {"a": 1' + b"0" * 400 + b'}}\n',
+        b"[" * 100_000 + b"\n",
     ],
 )
 def test_remote_policy_rejects_a_bad_reply(reply) -> None:
@@ -266,6 +268,7 @@ def test_serve_requests_answers_malformed_lines_and_keeps_serving() -> None:
         json.dumps({"context": {"hint": "x"}, "allowed": ["a"]}),
         json.dumps({"context": context_to_json(CTX), "allowed": "a"}),
         json.dumps({"context": context_to_json(CTX), "allowed": [1]}),
+        "[" * 100_000,
         good,
     ]
     pipe = _Pipe("".join(line + "\n" for line in lines).encode())
