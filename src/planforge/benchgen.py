@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from .decoder import replay_steps
-from .errors import EngineError, InfeasibleCount, InvalidPlan, NoFeasiblePlan
+from .errors import EngineError, InfeasibleCount, InvalidPlan, NoFeasiblePlan, reading
 from .evalkit import assign_slot
 from .executor import execute_task
 from .plan_ir import (
@@ -49,9 +49,11 @@ from .simkit import (
     SimConstants,
     apply_chain,
     apply_tool,
+    chain_similarity,
+    content_similarity,
     expr_labels,
     make_leaf,
-    similarity,
+    scale_quality,
     structure_similarity,
 )
 
@@ -355,7 +357,8 @@ def catalog_to_json(catalog: tuple[TaskSpec, ...] | list[TaskSpec]) -> list[dict
 
 
 def catalog_from_json(docs: list[dict]) -> tuple[TaskSpec, ...]:
-    return tuple(task_from_json(doc) for doc in docs)
+    with reading("catalog"):
+        return tuple(task_from_json(doc) for doc in docs)
 
 
 def split_train_test(
@@ -425,40 +428,61 @@ def _joined_plan(
     return PlanGraph(nodes, nodes[-1].id)
 
 
+def _with_quality(payload: Payload, quality: float) -> Payload:
+    return Payload(payload.modality, payload.expr, payload.language, payload.corruptions, quality)
+
+
 def _enumerate_chains(
     registry: ToolRegistry,
     start_modality: Modality,
     start_payload: Payload | None,
     max_depth: int,
     constants: SimConstants,
-) -> list[tuple[tuple[str, ...], Modality, Payload | None]]:
-    """All duplicate-free single-input tool chains up to the depth.
+) -> list[tuple[tuple[str, ...], Modality, Payload | None, tuple[float, ...]]]:
+    """All duplicate-free single-input tool chains up to the depth, as
+    (tool names, output modality, output at quality 1.0, quality factors).
 
-    Payloads are threaded through incrementally; a chain that errors
-    carries None and scores zero, as the executor would.
+    The chains run on a quality-1.0 copy of the start payload, and each
+    step's factor is the quality it leaves on its quality-1.0 input.
+    Single-input tools factor quality out (see `apply_tool`), so a
+    chain's output on the start payload itself is its listed output with
+    quality ``scale_quality(start_payload.quality, factors)``, and the
+    list depends only on the start payload's shape: its modality, expr,
+    language and corruptions. A chain that errors carries None and
+    scores zero, as the executor would.
     """
     arity1 = [spec for spec in registry if len(spec.inputs) == 1]
-    found: list[tuple[tuple[str, ...], Modality, Payload | None]] = [
-        ((), start_modality, start_payload)
+    unit = None if start_payload is None else _with_quality(start_payload, 1.0)
+    found: list[tuple[tuple[str, ...], Modality, Payload | None, tuple[float, ...]]] = [
+        ((), start_modality, unit, ())
     ]
 
-    def grow(names: tuple[str, ...], modality: Modality, payload: Payload | None) -> None:
+    def grow(
+        names: tuple[str, ...],
+        modality: Modality,
+        payload: Payload | None,
+        factors: tuple[float, ...],
+    ) -> None:
         if len(names) == max_depth:
             return
         for spec in arity1:
             if spec.name in names or spec.inputs[0] is not modality:
                 continue
             nxt: Payload | None = None
+            grown_factors = factors
             if payload is not None:
                 try:
-                    nxt = apply_tool(spec.semantic, (payload,), constants)
+                    out = apply_tool(spec.semantic, (payload,), constants)
                 except EngineError:
-                    nxt = None
+                    pass
+                else:
+                    nxt = out if out.quality == 1.0 else _with_quality(out, 1.0)
+                    grown_factors = factors + (out.quality,)
             grown = names + (spec.name,)
-            found.append((grown, spec.output, nxt))
-            grow(grown, spec.output, nxt)
+            found.append((grown, spec.output, nxt, grown_factors))
+            grow(grown, spec.output, nxt, grown_factors)
 
-    grow((), start_modality, start_payload)
+    grow((), start_modality, unit, ())
     return found
 
 
@@ -482,13 +506,19 @@ def oracle_best_plan(
     candidate that would become the best is kept only if the decoder
     can replay it.
 
-    Two memos, local to the call, act as a transposition table: scores
-    keyed by final payload, and tail chains with their scores keyed by
-    the join's output modality and payload. Equal keys give equal
-    values, so they skip recomputation, never candidates: the search
-    does no pruning, and ``plans_examined`` counts every candidate.
-    The plan graph and its document are built only for a candidate
-    whose score and tool count tie or beat the current best.
+    Chains are enumerated on quality-1.0 payloads with their quality
+    factors (see `_enumerate_chains`), and each chain's content term is
+    computed once, from a structure term memo keyed by expr. A chain's
+    score at input quality ``q`` is then `chain_similarity` of its
+    content term, ``q`` and its factors, the same float as `similarity`
+    of the executed output. Tail chains are memoized, local to the
+    call, by the join's output modality and the joined payload's shape
+    (everything but its quality), and each joined payload folds its own
+    quality through the memoized factors. This is a transposition
+    table, not pruning: equal keys give equal chains, the search visits
+    every candidate, and ``plans_examined`` counts each one. The plan
+    graph and its document are built only for a candidate whose score
+    and tool count tie or beat the current best.
     """
     if len(task.input_signature) > 2:
         raise ValueError("oracle handles one or two task inputs")
@@ -501,20 +531,25 @@ def oracle_best_plan(
     reference_labels = expr_labels(reference.expr)
     target = task.output_modality
     structure: dict[Expr, float] = {}
-    scores: dict[Payload, float] = {}
 
-    def score(payload: Payload | None) -> float:
-        if payload is None:
-            return 0.0
-        value = scores.get(payload)
-        if value is None:
+    def reaching_target(chains: list) -> list[tuple]:
+        """(names, name set, factors, content term, residuals) of each
+        chain that ends on the target modality; factors None if it errors."""
+        found = []
+        for names, modality, payload, factors in chains:
+            if modality is not target:
+                continue
+            if payload is None:
+                found.append((names, frozenset(names), None, 0.0, 0))
+                continue
             w_struct = structure.get(payload.expr)
             if w_struct is None:
                 w_struct = structure[payload.expr] = structure_similarity(
                     payload.expr, reference.expr, reference_labels
                 )
-            value = scores[payload] = similarity(payload, reference, constants, w_struct)
-        return value
+            content = content_similarity(payload, reference, constants, w_struct)
+            found.append((names, frozenset(names), factors, content, len(payload.corruptions)))
+        return found
 
     examined = 0
     # Every score is >= 0, so the first candidate always reaches offer().
@@ -541,25 +576,36 @@ def oracle_best_plan(
         best_score, best_len, best_plan, best_doc = value, n_nodes, plan, doc
 
     if len(task.input_signature) == 1:
-        chains = _enumerate_chains(
-            registry, task.input_signature[0], sample.inputs[0], max_depth, constants
+        start = sample.inputs[0]
+        chains = reaching_target(
+            _enumerate_chains(registry, task.input_signature[0], start, max_depth, constants)
         )
-        for names, modality, payload in chains:
-            if not names or modality is not target:
+        for names, _, factors, content, residuals in chains:
+            if not names:
                 continue
             examined += 1
-            value, n_nodes = score(payload), len(names)
+            value = 0.0 if factors is None else chain_similarity(
+                content, start.quality, factors, residuals, constants
+            )
+            n_nodes = len(names)
             if value > best_score or (value == best_score and n_nodes <= best_len):
                 nodes, _ = _chain_plan(names, TaskInput(0), 0)
                 offer(value, n_nodes, PlanGraph(tuple(nodes), nodes[-1].id))
     else:
         joins = [spec for spec in registry if len(spec.inputs) == 2]
-        per_input = [
-            _enumerate_chains(registry, task.input_signature[i], sample.inputs[i], max_depth, constants)
-            for i in range(2)
-        ]
-        # (join output modality, joined payload) -> [(tail, tail name set, score)]
-        tail_memo: dict[tuple[Modality, Payload | None], list] = {}
+        # Each input's chains, with the payload each leaves on that input.
+        per_input = []
+        for i in range(2):
+            start = sample.inputs[i]
+            chains = _enumerate_chains(registry, task.input_signature[i], start, max_depth, constants)
+            per_input.append([
+                (names, modality, None if payload is None else _with_quality(
+                    payload, scale_quality(start.quality, factors)
+                ))
+                for names, modality, payload, factors in chains
+            ])
+        # (join output modality, joined payload shape) -> reaching_target of its tails
+        tail_memo: dict[tuple, list] = {}
         for a, b in ((0, 1), (1, 0)):
             for join in joins:
                 for names0, mod0, pay0 in per_input[a]:
@@ -577,21 +623,23 @@ def oracle_best_plan(
                                 joined = apply_tool(join.semantic, (pay0, pay1), constants)
                             except EngineError:
                                 joined = None
-                        tails = tail_memo.get((join.output, joined))
+                        key = (join.output, None) if joined is None else (
+                            join.output, joined.expr, joined.language, joined.corruptions
+                        )
+                        tails = tail_memo.get(key)
                         if tails is None:
-                            tails = tail_memo[join.output, joined] = [
-                                (tail, frozenset(tail), score(tail_pay))
-                                for tail, tail_mod, tail_pay in _enumerate_chains(
-                                    registry, join.output, joined, max_depth, constants
-                                )
-                                if tail_mod is target
-                            ]
+                            tails = tail_memo[key] = reaching_target(
+                                _enumerate_chains(registry, join.output, joined, max_depth, constants)
+                            )
                         used.add(join.name)
                         head_len = len(used)
-                        for tail, tail_set, value in tails:
+                        for tail, tail_set, factors, content, residuals in tails:
                             if not used.isdisjoint(tail_set):
                                 continue
                             examined += 1
+                            value = 0.0 if factors is None else chain_similarity(
+                                content, joined.quality, factors, residuals, constants
+                            )
                             n_nodes = head_len + len(tail)
                             if value > best_score or (value == best_score and n_nodes <= best_len):
                                 plan = _joined_plan(a, b, names0, names1, join.name, tail)

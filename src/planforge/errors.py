@@ -6,6 +6,9 @@ family at the CLI boundary and turn it into a structured error report.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
@@ -89,3 +92,18 @@ class ConfigError(EngineError):
 
 class PeerProtocolError(EngineError):
     """A RemotePolicy peer sent a message that breaks the wire protocol."""
+
+
+class MalformedDocument(EngineError):
+    """A catalog, task, plan or checkpoint document has the wrong structure."""
+
+
+@contextmanager
+def reading(what: str) -> Iterator[None]:
+    """Raise the errors a loader hits on a malformed ``what`` document
+    (missing keys, wrong types, values out of range) as one
+    `MalformedDocument` with a one-line message."""
+    try:
+        yield
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+        raise MalformedDocument(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

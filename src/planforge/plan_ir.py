@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ArityNotOne, CycleDetected, ModalityBreak, UnknownTool
+from .errors import ArityNotOne, CycleDetected, ModalityBreak, UnknownTool, reading
 from .registry import ToolRegistry
 from .simkit import (
     Corruption,
@@ -89,18 +89,26 @@ def plan_to_json(plan: PlanGraph) -> dict:
     }
 
 
+def _tool_name(value) -> str:
+    # validate_plan looks names up in the registry, so it needs a string.
+    if not isinstance(value, str):
+        raise TypeError(f"tool name must be a string, got {value!r}")
+    return value
+
+
 def plan_from_json(doc: dict) -> PlanGraph:
-    return PlanGraph(
-        nodes=tuple(
-            PlanNode(
-                id=int(n["id"]),
-                tool=n["tool"],
-                input_refs=tuple(_ref_from_json(r) for r in n["inputs"]),
-            )
-            for n in doc["nodes"]
-        ),
-        output_node=int(doc["output"]),
-    )
+    with reading("plan"):
+        return PlanGraph(
+            nodes=tuple(
+                PlanNode(
+                    id=int(n["id"]),
+                    tool=_tool_name(n["tool"]),
+                    input_refs=tuple(_ref_from_json(r) for r in n["inputs"]),
+                )
+                for n in doc["nodes"]
+            ),
+            output_node=int(doc["output"]),
+        )
 
 
 def plan_hash(plan: PlanGraph) -> str:
@@ -374,16 +382,17 @@ def task_to_json(task: TaskSpec) -> dict:
 
 
 def task_from_json(doc: dict) -> TaskSpec:
-    return TaskSpec(
-        id=doc["id"],
-        description=doc["description"],
-        category=TaskCategory(doc["category"]),
-        input_signature=tuple(Modality(m) for m in doc["input_signature"]),
-        output_modality=Modality(doc["output_modality"]),
-        corruption_chains=tuple(
-            tuple(Corruption(c) for c in chain) for chain in doc["corruption_chains"]
-        ),
-        reference_builder=tuple(SemanticId(s) for s in doc["reference_builder"]),
-        metric_slot=MetricSlot(doc["metric_slot"]),
-        dataset=tuple(sample_from_json(s) for s in doc["dataset"]),
-    )
+    with reading("task"):
+        return TaskSpec(
+            id=doc["id"],
+            description=doc["description"],
+            category=TaskCategory(doc["category"]),
+            input_signature=tuple(Modality(m) for m in doc["input_signature"]),
+            output_modality=Modality(doc["output_modality"]),
+            corruption_chains=tuple(
+                tuple(Corruption(c) for c in chain) for chain in doc["corruption_chains"]
+            ),
+            reference_builder=tuple(SemanticId(s) for s in doc["reference_builder"]),
+            metric_slot=MetricSlot(doc["metric_slot"]),
+            dataset=tuple(sample_from_json(s) for s in doc["dataset"]),
+        )

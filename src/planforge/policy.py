@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .context import Context, context_from_json, context_levels, context_to_json
 from .decoder import ReplayStep, StepView, expected_action, replay_steps
-from .errors import EmptyAllowedSet, PeerProtocolError
+from .errors import EmptyAllowedSet, PeerProtocolError, reading
 from .plan_ir import PlanGraph, TaskSpec
 from .registry import ToolRegistry
 
@@ -148,10 +148,11 @@ def params_to_json(params: PolicyParams) -> dict:
 
 
 def params_from_json(doc: dict) -> PolicyParams:
-    values = {
-        (context_from_json(entry["context"]), entry["token"]): float(entry["value"])
-        for entry in doc["params"]
-    }
+    with reading("checkpoint"):
+        values = {
+            (context_from_json(entry["context"]), entry["token"]): float(entry["value"])
+            for entry in doc["params"]
+        }
     return PolicyParams(values)
 
 

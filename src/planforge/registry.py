@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadArity, DuplicateName, SemanticMismatch, UnknownTool
+from .errors import BadArity, DuplicateName, SemanticMismatch, UnknownTool, reading
 from .simkit import SEMANTIC_SIGNATURES, Modality, SemanticId
 
 
@@ -126,14 +126,15 @@ def registry_to_json(registry: ToolRegistry) -> list[dict]:
 
 
 def registry_from_json(docs: list[dict]) -> ToolRegistry:
-    return ToolRegistry(
-        tuple(
-            ToolSpec(
-                name=doc["name"],
-                inputs=tuple(Modality(m) for m in doc["inputs"]),
-                output=Modality(doc["output"]),
-                semantic=SemanticId(doc["semantic"]),
+    with reading("registry"):
+        return ToolRegistry(
+            tuple(
+                ToolSpec(
+                    name=doc["name"],
+                    inputs=tuple(Modality(m) for m in doc["inputs"]),
+                    output=Modality(doc["output"]),
+                    semantic=SemanticId(doc["semantic"]),
+                )
+                for doc in docs
             )
-            for doc in docs
         )
-    )

@@ -22,7 +22,7 @@ the only way to reach quality 1.0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -192,10 +192,12 @@ def apply_corruption(
         if payload.language is not Language.EN:
             raise IllegalTranslate("Translate corruption needs English text")
         language = Language.DE
-    return replace(
-        payload,
-        corruptions=payload.corruptions + (corruption,),
-        language=language,
+    return Payload(
+        payload.modality,
+        payload.expr,
+        language,
+        payload.corruptions + (corruption,),
+        payload.quality,
     )
 
 
@@ -224,19 +226,19 @@ def _check_inputs(semantic: SemanticId, inputs: tuple[Payload, ...]) -> None:
 
 def _restore(payload: Payload, target: Corruption, constants: SimConstants) -> Payload:
     stack = payload.corruptions
+    quality = payload.quality
     if stack and stack[-1] is target:
-        return replace(payload, corruptions=stack[:-1])
-    if target in stack:
+        stack = stack[:-1]
+    elif target in stack:
         # Buried layer. Remove the most recent matching one and pay beta
         # for disturbing everything stacked above it.
         idx = len(stack) - 1 - stack[::-1].index(target)
-        return replace(
-            payload,
-            corruptions=stack[:idx] + stack[idx + 1 :],
-            quality=payload.quality * constants.beta,
-        )
-    # Nothing to fix. The tool still ran and degraded the content a bit.
-    return replace(payload, quality=payload.quality * constants.gamma)
+        stack = stack[:idx] + stack[idx + 1 :]
+        quality *= constants.beta
+    else:
+        # Nothing to fix. The tool still ran and degraded the content a bit.
+        quality *= constants.gamma
+    return Payload(payload.modality, payload.expr, payload.language, stack, quality)
 
 
 def _transform_language(semantic: SemanticId, inputs: tuple[Payload, ...]) -> Language:
@@ -258,7 +260,15 @@ def apply_tool(
     inputs: tuple[Payload, ...],
     constants: SimConstants = DEFAULT_CONSTANTS,
 ) -> Payload:
-    """Run one tool on its input payloads and return the output payload."""
+    """Run one tool on its input payloads and return the output payload.
+
+    Every branch computes the output quality as one product ``q * c``:
+    ``q`` is the input quality (the product of both for two inputs) and
+    ``c`` depends only on the inputs' modality, expr, language and
+    corruptions (``c`` is 1.0 where quality passes through). So on one
+    input, the output at any quality is the output at quality 1.0, whose
+    quality is ``c``, with quality ``q * c``; errors ignore quality too.
+    """
     _check_inputs(semantic, inputs)
 
     if semantic in RESTORES:
@@ -269,7 +279,9 @@ def apply_tool(
         stack = payload.corruptions
         if stack and stack[-1] is Corruption.TRANSLATE:
             # Undo the translation corruption: back to English, free.
-            return replace(payload, corruptions=stack[:-1], language=Language.EN)
+            return Payload(
+                payload.modality, payload.expr, Language.EN, stack[:-1], payload.quality
+            )
         if payload.language is not Language.EN:
             raise LanguageGuard("translation tool needs English input")
         return Payload(
@@ -298,35 +310,99 @@ def apply_tool(
     )
 
 
-def expr_labels(expr: Expr) -> Counter:
-    """Multiset of node labels in an expression tree, leaves included."""
-    labels: Counter = Counter()
+def _node_labels(expr: Expr):
+    """Every node label of an expression tree, leaves included."""
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, str):
-            labels[node] += 1
+            yield node
         else:
-            labels[node[0]] += 1
+            yield node[0]
             stack.extend(node[1:])
-    return labels
+
+
+def expr_labels(expr: Expr) -> Counter:
+    """Multiset of node labels in an expression tree, leaves included."""
+    return Counter(_node_labels(expr))
 
 
 def structure_similarity(out: Expr, ref: Expr, ref_labels: Counter | None = None) -> float:
     """Structure term of `similarity`: 1.0 on identical exprs, multiset
     Jaccard over node labels otherwise.
 
+    The intersection ``inter`` is counted by walking ``out`` against a
+    countdown copy of the reference's label counts, and the union is
+    ``|out| + |ref| - inter``. Per label ``max + min = a + b``, so these
+    are exactly the integers ``sum(min)`` and ``sum(max)`` over the two
+    label multisets.
+
     ``ref_labels`` is ``expr_labels(ref)``, for a caller that scores
     many outputs against one reference and has already computed it.
     """
     if out == ref:
         return 1.0
-    a = expr_labels(out)
-    b = expr_labels(ref) if ref_labels is None else ref_labels
-    keys = set(a) | set(b)
-    inter = sum(min(a[k], b[k]) for k in keys)
-    union = sum(max(a[k], b[k]) for k in keys)
+    if ref_labels is None:
+        ref_labels = expr_labels(ref)
+    remaining = dict(ref_labels)
+    inter = size = 0
+    for label in _node_labels(out):
+        size += 1
+        left = remaining.get(label)
+        if left:
+            remaining[label] = left - 1
+            inter += 1
+    union = size + ref_labels.total() - inter
     return inter / union if union else 0.0
+
+
+def content_similarity(
+    out: Payload,
+    ref: Payload,
+    constants: SimConstants = DEFAULT_CONSTANTS,
+    w_struct: float | None = None,
+) -> float:
+    """Content term of `similarity`: the structure term times the
+    language term, 0.0 across modalities. It does not read quality or
+    corruptions. ``w_struct`` is as in `similarity`.
+    """
+    if out.modality is not ref.modality:
+        return 0.0
+    if w_struct is None:
+        w_struct = structure_similarity(out.expr, ref.expr)
+    w_lang = 1.0 if out.language is ref.language else constants.language_mismatch
+    return w_struct * w_lang
+
+
+def scale_quality(quality: float, factors: tuple[float, ...]) -> float:
+    """``quality`` multiplied by each factor in order.
+
+    For a chain of single-input tools run on a quality-1.0 payload,
+    with ``factors`` the output quality of each step (see `apply_tool`),
+    this is the chain's output quality on the same payload at
+    ``quality``, bit for bit.
+    """
+    for factor in factors:
+        quality *= factor
+    return quality
+
+
+def chain_similarity(
+    content: float,
+    quality: float,
+    factors: tuple[float, ...],
+    residuals: int,
+    constants: SimConstants = DEFAULT_CONSTANTS,
+) -> float:
+    """`similarity` of a payload from its terms: content term
+    ``content``, quality ``scale_quality(quality, factors)`` and
+    ``residuals`` corruptions on its stack.
+
+    This is the one scoring formula; `similarity` is this with no
+    factors, so a caller that scores one chain's output at many input
+    qualities gets the same floats as scoring each payload.
+    """
+    return content * (scale_quality(quality, factors) * constants.gamma ** residuals)
 
 
 def similarity(
@@ -337,19 +413,21 @@ def similarity(
 ) -> float:
     """Score an output payload against a reference payload in [0, 1].
 
-    Product of the structure term, a language term, and the output's
-    own quality discounted per residual corruption. ``w_struct`` is the
-    structure term, ``structure_similarity(out.expr, ref.expr)``, for a
-    caller that has already computed it.
+    A content term times a quality term, evaluated as
+    ``(w_struct * w_lang) * (quality * gamma ** residuals)``: the
+    structure term, the language term, and the output's own quality
+    discounted per residual corruption. The left factor,
+    `content_similarity`, does not depend on quality. ``w_struct`` is
+    the structure term, ``structure_similarity(out.expr, ref.expr)``,
+    for a caller that has already computed it.
     """
-    if out.modality is not ref.modality:
-        return 0.0
-
-    if w_struct is None:
-        w_struct = structure_similarity(out.expr, ref.expr)
-    w_lang = 1.0 if out.language is ref.language else constants.language_mismatch
-    w_quality = out.quality * constants.gamma ** len(out.corruptions)
-    return w_struct * w_lang * w_quality
+    return chain_similarity(
+        content_similarity(out, ref, constants, w_struct),
+        out.quality,
+        (),
+        len(out.corruptions),
+        constants,
+    )
 
 
 def serialize_expr(expr: Expr) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 from statistics import fmean
 
 import hypothesis.strategies as st
@@ -334,16 +335,29 @@ def _oracle_cases(draw):
     category = draw(st.sampled_from(list(TaskCategory)))
     chains, builder = draw(st.sampled_from(_SPACES[category]))
     depth = draw(st.integers(min_value=1, max_value=2))
-    return category, chains, builder, depth, draw(st.booleans())
+    # Generated inputs all have quality 1.0; a user catalog may carry any
+    # quality in (0, 1], which the oracle must fold through its chains.
+    qualities = tuple(draw(st.sampled_from([1.0, 0.9, 0.5, 0.37])) for _ in chains)
+    return category, chains, builder, depth, draw(st.booleans()), qualities
+
+
+def _with_input_qualities(task, qualities):
+    return replace(task, dataset=tuple(
+        replace(s, inputs=tuple(replace(p, quality=q) for p, q in zip(s.inputs, qualities)))
+        for s in task.dataset
+    ))
 
 
 @settings(max_examples=12, deadline=None)
 @given(_oracle_cases())
-@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), 2, True))
-@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK, C.TRANSLATE), (C.MASK,)), (S.QA, S.SUMMARIZE), 2, False))
+@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), 2, True, (1.0, 1.0)))
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK, C.TRANSLATE), (C.MASK,)), (S.QA, S.SUMMARIZE), 2, False, (1.0, 1.0)))
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK, C.TRANSLATE), (C.MASK,)), (S.QA, S.SUMMARIZE), 2, False, (0.37, 0.9)))
+@example((TaskCategory.IMAGE_TO_TEXT, ((C.BLUR, C.NOISE),), (S.CAPTION,), 2, False, (0.5,)))
 def test_oracle_matches_naive_reference(case) -> None:
-    category, chains, builder, depth, replayable_only = case
+    category, chains, builder, depth, replayable_only, qualities = case
     task = build_task("x-000", category, chains, builder, samples_per_task=2)
+    task = _with_input_qualities(task, qualities)
     plan, candidates = _naive_oracle(task, _REGISTRY, depth, replayable_only)
     if plan is None:
         with pytest.raises(NoFeasiblePlan):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -196,6 +198,60 @@ def test_unreadable_input_file_is_an_engine_error(ws, tmp_path, capsys, command)
     assert str(missing if "{missing}" in command else garbled) in error["message"]
 
 
+def _with_quality(catalog: list, quality) -> list:
+    catalog[0]["dataset"][0]["inputs"][0]["quality"] = quality
+    return catalog
+
+
+# (command, file the command reads, what the error names, document or a
+# function of the ws catalog document giving it). The registry file is
+# named by the config.
+MALFORMED_DOCUMENTS = [
+    ("exec", "--plan", "plan", {"nodes": [{"id": "x", "tool": "Fill Mask"}], "output": 0}),
+    ("exec", "--plan", "plan", {"nodes": "oops"}),
+    ("exec", "--plan", "plan", {"nodes": [{"id": 0, "tool": ["Fill Mask"], "inputs": [{"task": 0}]}], "output": 0}),
+    ("exec", "--plan", "plan", [{"nodes": []}]),
+    ("eval", "--catalog", "task", [{"id": "t"}]),
+    ("eval", "--catalog", "task", {"not": "a list"}),
+    ("eval", "--catalog", "catalog", 7),
+    ("eval", "--catalog", "task", lambda catalog: _with_quality(catalog, 1.5)),
+    ("eval", "--catalog", "task", lambda catalog: _with_quality(catalog, 0.0)),
+    ("eval", "--catalog", "task", lambda catalog: _with_quality(catalog, "0.5")),
+    ("eval", "--checkpoint", "checkpoint", {"params": [{"context": {}, "token": "x", "value": 1.0}]}),
+    ("eval", "--checkpoint", "checkpoint", {"params": [{"context": {"task_category": [], "prev_tool": None, "branch_modality": "Image", "hint": None}, "token": "x", "value": 1.0}]}),
+    ("eval", "--checkpoint", "checkpoint", {"params": [{"context": {"task_category": "a", "prev_tool": None, "branch_modality": "Image", "hint": None}, "token": "x", "value": "high"}]}),
+    ("parse", "registry", "registry", [{"name": "Fill Mask"}]),
+    ("parse", "registry", "registry", {"not": "a list"}),
+    ("parse", "registry", "registry", [{"name": ["Fill Mask"], "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
+]
+
+
+@pytest.mark.parametrize("command, flag, what, document", MALFORMED_DOCUMENTS)
+def test_malformed_document_is_a_one_line_error(ws, tmp_path, capsys, command, flag, what, document) -> None:
+    if callable(document):
+        document = document(json.loads(ws["catalog"].read_text()))
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    if command == "parse":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"registry": str(path)}))
+        argv = ["--config", str(config), "--out", str(tmp_path / "x"), "parse", "--text", "module: Fill Mask"]
+    else:
+        files = {"--catalog": str(ws["catalog"]), flag: str(path)}
+        argv = ws["base"][:2] + ["--out", str(tmp_path / "x"), command, "--task", "ii-000"]
+        if command == "exec":
+            argv += ["--plan", files.pop("--plan")]
+        for name, value in files.items():
+            argv += [name, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "MalformedDocument"
+    assert error["message"].startswith(f"malformed {what}: ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_registry_file_is_an_engine_error(tmp_path, capsys) -> None:
     config = tmp_path / "config.json"
     missing = tmp_path / "registry.json"
@@ -330,3 +386,51 @@ def test_eval_overall_averages_only_populated_slots(tmp_path, capsys) -> None:
     assert math.isclose(report["vit"], 0.81)
     csv_lines = (out / "report.csv").read_text().splitlines()
     assert csv_lines[2:] == ["clip,n/a", "bert,n/a", "vit,0.810000", "overall,0.810000"]
+
+
+def _readme_session() -> list[tuple[str, list[list[str]]]]:
+    """The numbered steps of the README's "A full session" block, as
+    (comment text, commands split into argv lists)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A full session:\n\n```sh\n(.*?)```", readme, flags=re.DOTALL).group(1)
+    steps: list[tuple[str, list[list[str]]]] = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if re.match(r"# \d+\. ", line):
+            steps.append((line[2:], []))
+        elif line.startswith("#"):
+            steps[-1] = (steps[-1][0] + " " + line.lstrip("# "), steps[-1][1])
+        elif line.strip():
+            steps[-1][1].append(shlex.split(line))
+    return steps
+
+
+def test_readme_session_runs_as_written(tmp_path, monkeypatch, capsys) -> None:
+    # Steps 1-5 of the README session, in a fresh directory with the
+    # default config: every command exits 0 and writes the files its
+    # comment names.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PLANFORGE_CONFIG", raising=False)
+    steps = _readme_session()[:5]
+    assert [comment.split(".")[0] for comment, _ in steps] == ["1", "2", "3", "4", "5"]
+    named = set()
+    for comment, commands in steps:
+        for argv in commands:
+            if argv[0] == "planforge":
+                assert main(argv[1:]) == 0, argv
+            else:
+                assert argv[:2] == ["python3", "-c"], argv
+                exec(argv[2], {})
+        named.update(re.findall(r"[\w<>/]+\.(?:jsonl|json|csv)", comment))
+    assert named == {
+        "catalog.json", "tasks/<id>.json", "manifest.json", "oracle.csv",
+        "oracle_plans.json", "plans.json", "trace.jsonl",
+    }
+    for name in named:
+        assert (tmp_path / "run" / name.replace("<id>", "ii-000")).is_file(), name
+    assert (tmp_path / "run" / "plan.json").is_file()
+    out = capsys.readouterr().out
+    assert "ii-000: mean score 1.000000 over 20 samples" in out
+    assert json.loads(out.splitlines()[-1]) == {
+        "dropped": [],
+        "sequence": ["Image Deblurring", "Colorization"],
+    }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -16,14 +17,18 @@ import hypothesis.strategies as st
 
 from planforge.errors import (
     ArityMismatch,
+    EngineError,
     IllegalCorruption,
     IllegalTranslate,
     LanguageGuard,
     ModalityMismatch,
 )
 from planforge.simkit import (
+    DEFAULT_CONSTANTS,
     Corruption,
     IMAGE_CORRUPTIONS,
+    SEMANTIC_SIGNATURES,
+    TEXT_CORRUPTIONS,
     Language,
     Modality,
     Payload,
@@ -31,6 +36,8 @@ from planforge.simkit import (
     apply_chain,
     apply_corruption,
     apply_tool,
+    chain_similarity,
+    content_similarity,
     expr_labels,
     make_leaf,
     parse_expr,
@@ -38,6 +45,7 @@ from planforge.simkit import (
     payload_to_json,
     serialize_expr,
     similarity,
+    structure_similarity,
 )
 
 RESTORE_OF = {
@@ -287,3 +295,109 @@ def test_payload_json_round_trip(corruption: Corruption, quality: float) -> None
         quality=quality,
     )
     assert payload_from_json(payload_to_json(payload)) == payload
+
+
+# Quality factors out of single-input tools and out of `similarity`; the
+# oracle scores every chain through these two facts.
+
+_UNARY = [sem for sem, (inputs, _) in SEMANTIC_SIGNATURES.items() if len(inputs) == 1]
+# Qualities in (0, 1]; a normal float stays nonzero after any factor.
+_QUALITIES = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, allow_subnormal=False)
+# A small label alphabet, so exprs repeat labels and share leaves.
+_LABEL = st.sampled_from(["x0", "x1", "summ", "qa", "de"])
+_SMALL_EXPRS = st.recursive(
+    _LABEL,
+    lambda children: st.tuples(_LABEL, children) | st.tuples(_LABEL, children, children),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _payloads(draw, exprs=_SMALL_EXPRS):
+    """Any valid payload: both modalities, both text languages, any stack
+    of the modality's corruptions, any quality in (0, 1]."""
+    modality = draw(st.sampled_from(list(Modality)))
+    if modality is Modality.IMAGE:
+        language, kinds = Language.NONE, IMAGE_CORRUPTIONS
+    else:
+        language, kinds = draw(st.sampled_from([Language.EN, Language.DE])), TEXT_CORRUPTIONS
+    stack = tuple(draw(st.lists(st.sampled_from(kinds), max_size=4)))
+    return Payload(modality, draw(exprs), language, stack, draw(_QUALITIES))
+
+
+def _unit(payload: Payload) -> Payload:
+    return Payload(payload.modality, payload.expr, payload.language, payload.corruptions, 1.0)
+
+
+def _run(semantic: SemanticId, payload: Payload) -> Payload | type:
+    try:
+        return apply_tool(semantic, (payload,))
+    except EngineError as exc:
+        return type(exc)
+
+
+@given(st.sampled_from(_UNARY), _payloads())
+def test_single_input_tools_factor_quality_out(semantic, payload) -> None:
+    out, unit_out = _run(semantic, payload), _run(semantic, _unit(payload))
+    if isinstance(unit_out, type):
+        assert out is unit_out
+        return
+    assert (out.modality, out.expr, out.language, out.corruptions) == (
+        unit_out.modality, unit_out.expr, unit_out.language, unit_out.corruptions,
+    )
+    # Exact float equality: no rounding may differ from the factored form.
+    assert out.quality == payload.quality * unit_out.quality
+
+
+def _counter_jaccard(out, ref) -> float:
+    """The structure term as first written: Counters and key-set sums."""
+    if out == ref:
+        return 1.0
+    a = expr_labels(out)
+    b = expr_labels(ref)
+    keys = set(a) | set(b)
+    inter = sum(min(a[k], b[k]) for k in keys)
+    union = sum(max(a[k], b[k]) for k in keys)
+    return inter / union if union else 0.0
+
+
+@given(_SMALL_EXPRS, _SMALL_EXPRS, st.booleans())
+def test_structure_similarity_matches_counter_jaccard(out, ref, same) -> None:
+    if same:
+        ref = out
+    expected = _counter_jaccard(out, ref)
+    assert structure_similarity(out, ref) == expected
+    assert structure_similarity(out, ref, expr_labels(ref)) == expected
+
+
+def test_structure_similarity_counts_repeated_labels() -> None:
+    # labels {qa: 1, x0: 2, summ: 1} against {summ: 1, x0: 1}: inter 2, union 4
+    assert structure_similarity(("qa", "x0", ("summ", "x0")), ("summ", "x0")) == 0.5
+    assert structure_similarity(("summ", "x0"), ("qa", "x0", ("summ", "x0"))) == 0.5
+
+
+@given(_payloads(), _payloads())
+def test_similarity_is_content_term_times_quality_term(out, ref) -> None:
+    gamma = DEFAULT_CONSTANTS.gamma
+    expected = content_similarity(out, ref) * (out.quality * gamma ** len(out.corruptions))
+    assert similarity(out, ref) == expected
+    assert content_similarity(out, ref) == content_similarity(_unit(out), ref)
+
+
+@given(_payloads(), _payloads(), st.lists(st.sampled_from(_UNARY), max_size=4))
+def test_chain_similarity_matches_running_the_chain(start, ref, chain) -> None:
+    # Run the chain on the payload itself and on a quality-1.0 copy that
+    # records each step's quality; both must score the same float.
+    payload, unit, factors = start, _unit(start), []
+    for semantic in chain:
+        out = _run(semantic, payload)
+        if isinstance(out, type):
+            assert out is _run(semantic, unit)
+            return
+        unit_out = apply_tool(semantic, (unit,))
+        factors.append(unit_out.quality)
+        payload, unit = out, _unit(unit_out)
+    content = content_similarity(unit, ref)
+    assert similarity(payload, ref) == chain_similarity(
+        content, start.quality, tuple(factors), len(unit.corruptions)
+    )
