@@ -20,6 +20,7 @@ from .context import BOS, END_TOKEN, Context
 from .decoder import (
     DecodedPlan,
     DecoderConfig,
+    SamplerConfig,
     beam_search,
     decode,
     replay_steps,

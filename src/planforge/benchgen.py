@@ -17,12 +17,10 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from statistics import fmean
 
 from .decoder import replay_steps
 from .errors import EngineError, InfeasibleCount, InvalidPlan, NoFeasiblePlan, reading
-from .evalkit import assign_slot
-from .executor import execute_task
+from .evalkit import assign_slot, task_reward
 from .plan_ir import (
     CATEGORY_SIGNATURES,
     NodeOutput,
@@ -647,5 +645,5 @@ def oracle_best_plan(
 
     if best_plan is None:
         raise NoFeasiblePlan(f"no plan reaches {target.value} for {task.id}")
-    reward = fmean(value for _, value in execute_task(best_plan, task, registry, constants))
+    reward = task_reward(best_plan, task, registry, constants)
     return OracleResult(best_plan=best_plan, best_reward=reward, plans_examined=examined)

@@ -279,7 +279,7 @@ def _cmd_compare(args, cfg: EngineConfig) -> int:
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="planforge")
     parser.add_argument("--config", help="path to an engine config JSON file")
-    parser.add_argument("--seed", type=int, help="override catalog, decoder, and train seeds")
+    parser.add_argument("--seed", type=int, help="override catalog and train seeds")
     parser.add_argument("--out", help="output directory, overrides the config")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,7 +342,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(
                 cfg,
                 catalog=replace(cfg.catalog, seed=args.seed),
-                decoder=replace(cfg.decoder, seed=args.seed),
                 train=replace(cfg.train, seed=args.seed),
             )
         return _COMMANDS[args.command](args, cfg)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from .benchgen import CatalogConfig
 from .decoder import DecoderConfig
@@ -24,10 +24,10 @@ from .simkit import SimConstants
 class EngineConfig:
     registry: str = "default"
     out_dir: str = "out"
-    catalog: CatalogConfig = field(default=CatalogConfig())
-    decoder: DecoderConfig = field(default=DecoderConfig())
-    train: TrainConfig = field(default=TrainConfig())
-    sim: SimConstants = field(default=SimConstants())
+    catalog: CatalogConfig = CatalogConfig()
+    decoder: DecoderConfig = DecoderConfig()
+    train: TrainConfig = TrainConfig()
+    sim: SimConstants = SimConstants()
 
 
 def _fits(value, default) -> bool:
@@ -37,83 +37,39 @@ def _fits(value, default) -> bool:
     return type(value) is type(default)
 
 
-def _from_dict(cls, raw: dict, section: str):
+def _from_dict(cls, raw, path: str):
+    """Build ``cls`` from a partial document. A field whose default is a
+    dataclass is a nested section; a null section keeps its defaults."""
+    where = path or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = sorted(set(raw) - set(defaults))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    values = {}
     for key, value in raw.items():
-        if not _fits(value, defaults[key]):
-            expected = type(defaults[key]).__name__
-            raise ConfigError(f"{section}.{key} must be {expected}, got {type(value).__name__}")
+        default = defaults[key]
+        name = f"{path}.{key}" if path else key
+        if is_dataclass(default):
+            if value is not None:
+                values[key] = _from_dict(type(default), value, name)
+        elif _fits(value, default):
+            values[key] = value
+        else:
+            raise ConfigError(f"{name} must be {type(default).__name__}, got {type(value).__name__}")
     try:
-        return cls(**raw)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in {section}: {exc}") from exc
+        raise ConfigError(f"bad value in {where}: {exc}") from exc
 
 
-def config_from_json(doc: dict) -> EngineConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    allowed = {"registry", "out_dir", "catalog", "decoder", "train", "sim"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in config: {', '.join(unknown)}")
-
-    def section(key: str, cls, default):
-        raw = doc.get(key)
-        if raw is None:
-            return default
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{key} must be an object")
-        return _from_dict(cls, raw, key)
-
-    registry = doc.get("registry", "default")
-    out_dir = doc.get("out_dir", "out")
-    if not isinstance(registry, str):
-        raise ConfigError("registry must be a string")
-    if not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a string")
-
-    train_raw = doc.get("train")
-    if isinstance(train_raw, dict) and "sampling" in train_raw:
-        train_raw = dict(train_raw)
-        sampling_raw = train_raw.pop("sampling")
-        if not isinstance(sampling_raw, dict):
-            raise ConfigError("train.sampling must be an object")
-        sampling = _from_dict(
-            DecoderConfig, {"sampling": "stochastic", **sampling_raw}, "train.sampling"
-        )
-        bare = _from_dict(TrainConfig, train_raw, "train")
-        train = TrainConfig(**{**_asdict_flat(bare), "sampling": sampling})
-    else:
-        train = section("train", TrainConfig, TrainConfig())
-
-    return EngineConfig(
-        registry=registry,
-        out_dir=out_dir,
-        catalog=section("catalog", CatalogConfig, CatalogConfig()),
-        decoder=section("decoder", DecoderConfig, DecoderConfig()),
-        train=train,
-        sim=section("sim", SimConstants, SimConstants()),
-    )
-
-
-def _asdict_flat(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+def config_from_json(doc) -> EngineConfig:
+    return _from_dict(EngineConfig, doc, "")
 
 
 def config_to_json(cfg: EngineConfig) -> dict:
-    train = _asdict_flat(cfg.train)
-    train["sampling"] = _asdict_flat(cfg.train.sampling)
-    return {
-        "registry": cfg.registry,
-        "out_dir": cfg.out_dir,
-        "catalog": _asdict_flat(cfg.catalog),
-        "decoder": _asdict_flat(cfg.decoder),
-        "train": train,
-        "sim": _asdict_flat(cfg.sim),
-    }
+    return asdict(cfg)
 
 
 def load_config(path: str | None = None) -> EngineConfig:

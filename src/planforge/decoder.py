@@ -50,19 +50,26 @@ from .trie import build_trie, children_after
 
 @dataclass(frozen=True, slots=True)
 class DecoderConfig:
+    """Beam search settings, read by `beam_search`."""
+
     beam_size: int = 30
     max_tools_per_branch: int = 6
-    sampling: str = "greedy"
-    temperature: float = 0.9
-    top_k: int = 5
-    top_p: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.beam_size < 1:
             raise ValueError("beam_size must be positive")
-        if self.sampling not in ("greedy", "stochastic"):
-            raise ValueError(f"unknown sampling mode: {self.sampling}")
+
+
+@dataclass(frozen=True, slots=True)
+class SamplerConfig:
+    """Rollout sampling settings, read by `sample_plan`."""
+
+    max_tools_per_branch: int = 6
+    temperature: float = 0.9
+    top_k: int = 5
+    top_p: float = 0.5
+
+    def __post_init__(self) -> None:
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.top_k < 0:
@@ -194,7 +201,7 @@ def step_frontier(
     state: BeamState,
     task: TaskSpec,
     registry: ToolRegistry,
-    cfg: DecoderConfig,
+    max_tools_per_branch: int,
 ) -> StepFrontier | None:
     """Acting branch, its context, and the legal actions. None on dead ends."""
     if state.done:
@@ -208,7 +215,7 @@ def step_frontier(
     tools = []
     for spec in compatible_successors(registry, branch.modality, state.used):
         if len(spec.inputs) == 1:
-            if branch.tool_count < cfg.max_tools_per_branch:
+            if branch.tool_count < max_tools_per_branch:
                 tools.append(spec.name)
         elif unconsumed >= 2 and _partner_index(state, acting, spec.inputs[1]) is not None:
             tools.append(spec.name)
@@ -354,7 +361,7 @@ def beam_search(
             break
         candidates = []
         for state in live:
-            frontier = step_frontier(state, task, registry, cfg)
+            frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
             if frontier is None:
                 continue
             scores = policy.score_step(
@@ -405,7 +412,7 @@ def decode(
 def _filtered_distribution(
     scores: dict[str, float],
     actions: Sequence[str],
-    cfg: DecoderConfig,
+    cfg: SamplerConfig,
     epsilon: float,
 ) -> list[tuple[str, float]]:
     """Temperature, top-k, and top-p filtering, then epsilon mixing."""
@@ -438,16 +445,10 @@ def _filtered_distribution(
 def _draw(
     scores: dict[str, float],
     actions: Sequence[str],
-    cfg: DecoderConfig,
+    cfg: SamplerConfig,
     rng: random.Random,
     epsilon: float,
 ) -> str:
-    if cfg.sampling == "greedy":
-        best = actions[0]
-        for a in actions[1:]:
-            if scores[a] > scores[best]:
-                best = a
-        return best
     mixture = _filtered_distribution(scores, actions, cfg, epsilon)
     roll = rng.random()
     cumulative = 0.0
@@ -462,7 +463,7 @@ def sample_plan(
     policy: Policy,
     task: TaskSpec,
     registry: ToolRegistry,
-    cfg: DecoderConfig,
+    cfg: SamplerConfig,
     rng: random.Random,
     epsilon: float = 0.0,
     max_retries: int = 50,
@@ -474,7 +475,7 @@ def sample_plan(
         for _ in range(_step_cap(task, registry)):
             if state.done:
                 break
-            frontier = step_frontier(state, task, registry, cfg)
+            frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
             if frontier is None:
                 dead = True
                 break
@@ -569,13 +570,12 @@ def replay_steps(
     per-branch tool cap does not apply here; replay defines the plan
     family, the cap only bounds search.
     """
-    cap_free = DecoderConfig(max_tools_per_branch=len(registry))
     state = initial_state(task)
     steps: list[ReplayStep] = []
     for _ in range(_step_cap(task, registry)):
         if state.done:
             break
-        frontier = step_frontier(state, task, registry, cap_free)
+        frontier = step_frontier(state, task, registry, len(registry))
         if frontier is None:
             raise InvalidPlan("decoding dead-ends before the plan completes")
         token = expected_action(task, registry, state, frontier.branch_index, plan)
@@ -603,7 +603,7 @@ def allowed_tokens(
     tool names plus the end token when legal. Midway through a name it
     is the trie continuation set.
     """
-    frontier = step_frontier(state, task, registry, cfg)
+    frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
     if frontier is None:
         return frozenset()
     names = [a for a in frontier.actions if a != END_TOKEN]

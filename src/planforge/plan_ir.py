@@ -67,11 +67,18 @@ def _ref_to_json(ref: InputRef) -> dict:
     return {"node": ref.node}
 
 
+def _plan_id(value) -> int:
+    # Exact ints only: int() would read 0.7 as 0 and true as 1.
+    if type(value) is not int:
+        raise TypeError(f"plan ids must be integers, got {value!r}")
+    return value
+
+
 def _ref_from_json(doc: dict) -> InputRef:
     if "task" in doc:
-        return TaskInput(int(doc["task"]))
+        return TaskInput(_plan_id(doc["task"]))
     if "node" in doc:
-        return NodeOutput(int(doc["node"]))
+        return NodeOutput(_plan_id(doc["node"]))
     raise ValueError(f"bad input ref: {doc}")
 
 
@@ -101,13 +108,13 @@ def plan_from_json(doc: dict) -> PlanGraph:
         return PlanGraph(
             nodes=tuple(
                 PlanNode(
-                    id=int(n["id"]),
+                    id=_plan_id(n["id"]),
                     tool=_tool_name(n["tool"]),
                     input_refs=tuple(_ref_from_json(r) for r in n["inputs"]),
                 )
                 for n in doc["nodes"]
             ),
-            output_node=int(doc["output"]),
+            output_node=_plan_id(doc["output"]),
         )
 
 

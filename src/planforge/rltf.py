@@ -16,11 +16,11 @@ got wrong and adapts to the reward surface.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 
 from .benchgen import oracle_best_plan, required_oracle_depth
-from .decoder import DecoderConfig, ReplayStep, replay_steps, sample_plan
+from .decoder import DecoderConfig, ReplayStep, SamplerConfig, replay_steps, sample_plan
 from .errors import NoFeasiblePlan
 from .evalkit import ReportTable, evaluate, task_reward
 from .plan_ir import PlanGraph, TaskSpec
@@ -46,9 +46,7 @@ class TrainConfig:
     seed: int = 0
     pretrain_epochs: int = 150
     pretrain_lr: float = 0.1
-    sampling: DecoderConfig = field(
-        default=DecoderConfig(sampling="stochastic")
-    )
+    sampling: SamplerConfig = SamplerConfig()
 
 
 @dataclass(frozen=True, slots=True)

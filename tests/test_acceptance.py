@@ -30,6 +30,7 @@ from planforge.benchgen import (
 from planforge.context import END_TOKEN
 from planforge.decoder import (
     DecoderConfig,
+    SamplerConfig,
     allowed_tokens,
     apply_action,
     beam_search,
@@ -119,10 +120,11 @@ def test_criterion_1_decoder_soundness(catalog, registry) -> None:
     for i in range(1000):
         task = tasks[i % len(tasks)]
         policy = _SeededPolicy(seed=i)
-        cfg = DecoderConfig(
-            beam_size=rng.randint(1, 8),
-            max_tools_per_branch=rng.randint(2, 6),
-            sampling="stochastic",
+        beam_size = rng.randint(1, 8)
+        max_tools = rng.randint(2, 6)
+        cfg = DecoderConfig(beam_size=beam_size, max_tools_per_branch=max_tools)
+        sampler = SamplerConfig(
+            max_tools_per_branch=max_tools,
             temperature=rng.choice([0.5, 0.9, 1.5]),
             top_k=rng.randint(1, 6),
             top_p=rng.choice([0.3, 0.5, 1.0]),
@@ -131,7 +133,7 @@ def test_criterion_1_decoder_soundness(catalog, registry) -> None:
             if i % 2 == 0:
                 plans = [dp.plan for dp in decode(policy, task, registry, cfg)]
             else:
-                plans = [sample_plan(policy, task, registry, cfg, random.Random(i))]
+                plans = [sample_plan(policy, task, registry, sampler, random.Random(i))]
         except NoFeasiblePlan:
             dead += 1
             continue

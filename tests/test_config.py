@@ -21,19 +21,65 @@ def test_round_trip_is_identity() -> None:
     assert config_from_json(config_to_json(cfg)) == cfg
 
 
+def test_round_trip_keeps_a_value_in_every_section() -> None:
+    doc = {
+        "registry": "tools.json",
+        "out_dir": "elsewhere",
+        "catalog": {"seed": 3},
+        "decoder": {"beam_size": 4, "max_tools_per_branch": 3},
+        "train": {"epochs": 2, "sampling": {"temperature": 1.5, "top_p": 0.8}},
+        "sim": {"gamma": 0.7},
+    }
+    cfg = config_from_json(doc)
+    assert cfg.catalog.seed == 3
+    assert (cfg.decoder.beam_size, cfg.decoder.max_tools_per_branch) == (4, 3)
+    assert cfg.train.epochs == 2
+    assert (cfg.train.sampling.temperature, cfg.train.sampling.top_p) == (1.5, 0.8)
+    assert cfg.sim.gamma == 0.7
+    assert config_from_json(config_to_json(cfg)) == cfg
+
+
 def test_partial_documents_keep_defaults() -> None:
     cfg = config_from_json({"decoder": {"beam_size": 5}, "train": {"lr": 0.01}})
     assert cfg.decoder.beam_size == 5
-    assert cfg.decoder.top_k == 5
+    assert cfg.decoder.max_tools_per_branch == 6
     assert cfg.train.lr == 0.01
     assert cfg.train.epochs == 12
+    assert cfg.train.sampling == EngineConfig().train.sampling
     assert cfg.catalog == EngineConfig().catalog
 
 
-def test_train_sampling_stays_stochastic_by_default() -> None:
+def test_train_sampling_is_a_partial_section() -> None:
     cfg = config_from_json({"train": {"sampling": {"top_k": 3}}})
-    assert cfg.train.sampling.sampling == "stochastic"
     assert cfg.train.sampling.top_k == 3
+    assert cfg.train.sampling.temperature == 0.9
+    assert cfg.train.epochs == 12
+
+
+def test_null_section_means_defaults() -> None:
+    assert config_from_json({"decoder": None, "sim": None}) == EngineConfig()
+    assert config_from_json({"train": {"sampling": None}}) == EngineConfig()
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("decoder", "sampling"),
+        ("decoder", "temperature"),
+        ("decoder", "top_k"),
+        ("decoder", "top_p"),
+        ("decoder", "seed"),
+        ("train.sampling", "beam_size"),
+        ("train.sampling", "seed"),
+        ("train.sampling", "sampling"),
+    ],
+)
+def test_deleted_walker_keys_are_rejected(section, key) -> None:
+    doc: dict = {key: 0}
+    for name in reversed(section.split(".")):
+        doc = {name: doc}
+    with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in {section}: {key}$"):
+        config_from_json(doc)
 
 
 def test_unknown_keys_are_rejected() -> None:
@@ -47,7 +93,7 @@ def test_bad_values_are_wrapped() -> None:
     with pytest.raises(ConfigError):
         config_from_json({"decoder": {"beam_size": 0}})
     with pytest.raises(ConfigError):
-        config_from_json({"decoder": {"sampling": "annealed"}})
+        config_from_json({"train": {"sampling": {"top_p": 1.5}}})
 
 
 def test_scalar_types_must_match_the_defaults() -> None:
@@ -79,7 +125,7 @@ def test_readme_config_example_loads() -> None:
 
 
 def test_input_document_is_not_mutated() -> None:
-    doc = {"train": {"sampling": {"seed": 4}, "lr": 0.2}}
+    doc = {"train": {"sampling": {"top_k": 4}, "lr": 0.2}}
     snapshot = json.loads(json.dumps(doc))
     config_from_json(doc)
     assert doc == snapshot

@@ -18,6 +18,7 @@ from planforge.benchgen import (
 from planforge.context import END_TOKEN
 from planforge.decoder import (
     DecoderConfig,
+    SamplerConfig,
     StepView,
     _step_cap,
     allowed_tokens,
@@ -72,16 +73,16 @@ def test_config_validation() -> None:
     with pytest.raises(ValueError):
         DecoderConfig(beam_size=0)
     with pytest.raises(ValueError):
-        DecoderConfig(sampling="annealed")
+        SamplerConfig(top_k=-1)
     with pytest.raises(ValueError):
-        DecoderConfig(temperature=0.0)
+        SamplerConfig(temperature=0.0)
     with pytest.raises(ValueError):
-        DecoderConfig(top_p=0.0)
+        SamplerConfig(top_p=0.0)
 
 
 def test_no_end_before_any_tool() -> None:
     task = _mini_task()
-    frontier = step_frontier(initial_state(task), task, MINI, DecoderConfig())
+    frontier = step_frontier(initial_state(task), task, MINI, DecoderConfig().max_tools_per_branch)
     assert frontier.actions == ("Colorization", "Image Deblurring", "Image Denoising")
     assert END_TOKEN not in frontier.actions
 
@@ -226,7 +227,7 @@ def test_replay_rejects_foreign_plans(catalog, registry) -> None:
 
 
 def test_stochastic_top1_is_seed_independent(catalog, registry) -> None:
-    cfg = DecoderConfig(sampling="stochastic", top_k=1)
+    cfg = SamplerConfig(top_k=1)
     policy = TabularPolicy(PolicyParams())
     for task in list(catalog)[:5]:
         a = sample_plan(policy, task, registry, cfg, random.Random(1))
@@ -235,7 +236,7 @@ def test_stochastic_top1_is_seed_independent(catalog, registry) -> None:
 
 
 def test_stochastic_sampling_is_reproducible(catalog, registry) -> None:
-    cfg = DecoderConfig(sampling="stochastic")
+    cfg = SamplerConfig()
     policy = UniformPolicy()
     task = list(catalog)[0]
     a = [plan_hash(sample_plan(policy, task, registry, cfg, random.Random(7))) for _ in range(3)]
@@ -271,7 +272,7 @@ def _reference_beam(policy, task, registry, cfg) -> list[tuple[str, float]]:
         assert len({s.path for s in live}) == len(live)
         grown = []
         for state in live:
-            frontier = step_frontier(state, task, registry, cfg)
+            frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
             if frontier is None:
                 continue
             scores = policy.score_step(
@@ -421,7 +422,7 @@ def test_sampled_plans_replay_to_themselves(case) -> None:
         if table_seed is None
         else TabularPolicy(PolicyParams(_RandomTable(table_seed)))
     )
-    cfg = DecoderConfig(sampling="stochastic", max_tools_per_branch=max_tools)
+    cfg = SamplerConfig(max_tools_per_branch=max_tools)
     try:
         plan = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
     except NoFeasiblePlan:

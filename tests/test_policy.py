@@ -172,7 +172,7 @@ def test_guided_policy_argmax_is_the_target_step(catalog, registry) -> None:
     state = initial_state(task)
     from planforge.decoder import step_frontier
 
-    frontier = step_frontier(state, task, registry, DecoderConfig())
+    frontier = step_frontier(state, task, registry, DecoderConfig().max_tools_per_branch)
     scores = policy.score_step(
         frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
     )
