@@ -211,8 +211,6 @@ MALFORMED_DOCUMENTS = [
     ("exec", "--plan", "plan", {"nodes": "oops"}),
     ("exec", "--plan", "plan", {"nodes": [{"id": 0, "tool": ["Fill Mask"], "inputs": [{"task": 0}]}], "output": 0}),
     ("exec", "--plan", "plan", [{"nodes": []}]),
-    ("exec", "--plan", "plan", {"nodes": [{"id": 0.7, "tool": "Image Deblurring", "inputs": [{"task": 0.2}]}], "output": 0.9}),
-    ("exec", "--plan", "plan", {"nodes": [{"id": True, "tool": "Image Deblurring", "inputs": [{"task": False}]}], "output": True}),
     ("eval", "--catalog", "task", [{"id": "t"}]),
     ("eval", "--catalog", "task", {"not": "a list"}),
     ("eval", "--catalog", "catalog", 7),
@@ -225,6 +223,8 @@ MALFORMED_DOCUMENTS = [
     ("parse", "registry", "registry", [{"name": "Fill Mask"}]),
     ("parse", "registry", "registry", {"not": "a list"}),
     ("parse", "registry", "registry", [{"name": ["Fill Mask"], "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
+    ("exec", "--plan", "plan", {"nodes": [{"id": 0.7, "tool": "Image Deblurring", "inputs": [{"task": 0.2}]}], "output": 0.9}),
+    ("exec", "--plan", "plan", {"nodes": [{"id": True, "tool": "Image Deblurring", "inputs": [{"task": False}]}], "output": True}),
 ]
 
 
