@@ -14,7 +14,8 @@ shared backoff level where the previous tool is wildcarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .simkit import RESTORES, Corruption, SemanticId
 
@@ -23,8 +24,9 @@ END_TOKEN = "<end>"
 SHARED_PREV = "*"
 
 
-@dataclass(frozen=True, slots=True)
-class Context:
+class Context(NamedTuple):
+    """What the policy sees at a step; a tuple, so table keys hash and compare in C."""
+
     task_category: str
     prev_tool: str
     branch_modality: str
@@ -44,21 +46,16 @@ def context_levels(ctx: Context) -> tuple[Context, ...]:
 
 
 def context_to_json(ctx: Context) -> dict:
-    return {
-        "task_category": ctx.task_category,
-        "prev_tool": ctx.prev_tool,
-        "branch_modality": ctx.branch_modality,
-        "hint": ctx.hint,
-    }
+    return ctx._asdict()
 
 
 def context_from_json(doc: dict) -> Context:
-    return Context(
-        task_category=doc["task_category"],
-        prev_tool=doc["prev_tool"],
-        branch_modality=doc["branch_modality"],
-        hint=doc["hint"],
-    )
+    """Raises KeyError for a missing field, TypeError for a non-string one."""
+    ctx = Context(*(doc[name] for name in Context._fields))
+    for name, value in zip(Context._fields, ctx):
+        if not isinstance(value, str):
+            raise TypeError(f"context field {name} must be a string, got {value!r}")
+    return ctx
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,13 +76,13 @@ def advance_hint(state: HintState, semantic: SemanticId) -> HintState:
     if semantic in RESTORES:
         target = RESTORES[semantic]
         if remaining and remaining[-1] is target:
-            return replace(state, remaining=remaining[:-1])
+            return HintState(remaining[:-1], state.terminals_done)
         if target in remaining:
             idx = len(remaining) - 1 - remaining[::-1].index(target)
-            return replace(state, remaining=remaining[:idx] + remaining[idx + 1 :])
+            return HintState(remaining[:idx] + remaining[idx + 1 :], state.terminals_done)
         return state
     if semantic is SemanticId.TRANSLATE_EN_DE and remaining and remaining[-1] is Corruption.TRANSLATE:
-        return replace(state, remaining=remaining[:-1])
+        return HintState(remaining[:-1], state.terminals_done)
     # Transform: residual corruptions are baked in, one recipe step done.
     return HintState(remaining=(), terminals_done=state.terminals_done + 1)
 

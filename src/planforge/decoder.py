@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .context import (
@@ -188,15 +188,6 @@ def _partner_index(state: BeamState, acting: int, want: Modality) -> int | None:
     return None
 
 
-def _consumed_task_inputs(state: BeamState) -> set[int]:
-    return {
-        ref.index
-        for node in state.nodes
-        for ref in node.input_refs
-        if isinstance(ref, TaskInput)
-    }
-
-
 def step_frontier(
     state: BeamState,
     task: TaskSpec,
@@ -230,9 +221,9 @@ def step_frontier(
             for spec in registry
         )
     else:
-        end_ok = (
-            branch.modality is task.output_modality
-            and _consumed_task_inputs(state) == set(range(len(task.input_signature)))
+        # Branch i reads task input i with its first tool or as a join's head.
+        end_ok = branch.modality is task.output_modality and all(
+            b.head is not None or b.consumed for b in state.branches
         )
 
     actions = tuple(sorted(tools)) + ((END_TOKEN,) if end_ok else ())
@@ -245,6 +236,14 @@ def step_frontier(
         hint=hint_token(branch.hint, task.reference_builder),
     )
     return StepFrontier(branch_index=acting, context=ctx, actions=actions)
+
+
+def _flagged(branch: BranchState, parked: bool, consumed: bool) -> BranchState:
+    """The branch with new flags; `dataclasses.replace` would introspect fields per call."""
+    return BranchState(
+        branch.root_input, branch.head, branch.modality, branch.prev_tool,
+        branch.tool_count, parked, consumed, branch.hint,
+    )
 
 
 def apply_action(
@@ -260,70 +259,54 @@ def apply_action(
         raise InvalidPlan("no live branch to act")
     branch = state.branches[acting]
     branches = list(state.branches)
-    n = len(branches)
-    unconsumed = sum(1 for b in state.branches if not b.consumed)
+    rr = (acting + 1) % len(branches)
+    used, nodes, next_id = state.used, state.nodes, state.next_id
+    done, output_node = state.done, state.output_node
 
     if token == END_TOKEN:
-        if unconsumed >= 2:
-            branches[acting] = replace(branch, parked=True)
-            return replace(
-                state,
-                branches=tuple(branches),
-                rr=(acting + 1) % n,
-                log_prob=state.log_prob + lp_delta,
-                path=state.path + (token,),
-            )
-        return replace(
-            state,
-            done=True,
-            output_node=branch.head,
-            log_prob=state.log_prob + lp_delta,
-            path=state.path + (token,),
-        )
-
-    spec = registry.get(token)
-    if len(spec.inputs) == 1:
-        node = PlanNode(state.next_id, token, (head_ref(branch),))
-        branches[acting] = BranchState(
-            root_input=branch.root_input,
-            head=state.next_id,
-            modality=spec.output,
-            prev_tool=token,
-            tool_count=branch.tool_count + 1,
-            parked=False,
-            consumed=False,
-            hint=advance_hint(branch.hint, spec.semantic),
-        )
+        if sum(1 for b in state.branches if not b.consumed) >= 2:
+            branches[acting] = _flagged(branch, True, branch.consumed)
+        else:
+            done, output_node, rr = True, branch.head, state.rr
     else:
-        partner_idx = _partner_index(state, acting, spec.inputs[1])
-        if partner_idx is None:
-            raise InvalidPlan(f"{token} has no join partner")
-        partner = branches[partner_idx]
-        node = PlanNode(state.next_id, token, (head_ref(branch), head_ref(partner)))
-        # The merged branch continues in the proposer's slot with a fresh
-        # tool budget; the join itself does not count against any cap.
+        spec = registry.get(token)
+        if len(spec.inputs) == 1:
+            refs = (head_ref(branch),)
+            hint = advance_hint(branch.hint, spec.semantic)
+            tool_count = branch.tool_count + 1
+        else:
+            partner_idx = _partner_index(state, acting, spec.inputs[1])
+            if partner_idx is None:
+                raise InvalidPlan(f"{token} has no join partner")
+            partner = branches[partner_idx]
+            refs = (head_ref(branch), head_ref(partner))
+            hint = advance_hint(merge_hint_states(branch.hint, partner.hint), spec.semantic)
+            # The merged branch continues in the proposer's slot with a fresh
+            # tool budget; the join itself does not count against any cap.
+            tool_count = 0
+            branches[partner_idx] = _flagged(partner, partner.parked, True)
         branches[acting] = BranchState(
             root_input=branch.root_input,
-            head=state.next_id,
+            head=next_id,
             modality=spec.output,
             prev_tool=token,
-            tool_count=0,
+            tool_count=tool_count,
             parked=False,
             consumed=False,
-            hint=advance_hint(merge_hint_states(branch.hint, partner.hint), spec.semantic),
+            hint=hint,
         )
-        branches[partner_idx] = replace(partner, consumed=True)
+        used, nodes, next_id = used | {token}, nodes + (PlanNode(next_id, token, refs),), next_id + 1
 
     return BeamState(
         branches=tuple(branches),
-        used=state.used | {token},
-        nodes=state.nodes + (node,),
-        next_id=state.next_id + 1,
+        used=used,
+        nodes=nodes,
+        next_id=next_id,
         log_prob=state.log_prob + lp_delta,
-        rr=(acting + 1) % n,
-        done=state.done,
+        rr=rr,
+        done=done,
         path=state.path + (token,),
-        output_node=state.output_node,
+        output_node=output_node,
     )
 
 

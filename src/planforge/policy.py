@@ -147,12 +147,31 @@ def params_to_json(params: PolicyParams) -> dict:
     return {"version": 1, "params": entries}
 
 
+def _finite(value) -> float:
+    """A JSON number as a finite float; bools, strings and overflow are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{value!r} is not a finite number")
+
+
+def _checkpoint_entry(entry: dict) -> tuple[tuple[Context, str], float]:
+    token = entry["token"]
+    if not isinstance(token, str):
+        raise TypeError(f"token must be a string, got {token!r}")
+    return (context_from_json(entry["context"]), token), _finite(entry["value"])
+
+
 def params_from_json(doc: dict) -> PolicyParams:
     with reading("checkpoint"):
-        values = {
-            (context_from_json(entry["context"]), entry["token"]): float(entry["value"])
-            for entry in doc["params"]
-        }
+        version = doc["version"]
+        if type(version) is not int or version != 1:
+            raise ValueError(f"checkpoint version must be 1, got {version!r}")
+        values = dict(_checkpoint_entry(entry) for entry in doc["params"])
     return PolicyParams(values)
 
 
@@ -250,26 +269,27 @@ def _reply_scores(line: bytes) -> dict[str, float]:
         raise PeerProtocolError("policy peer reply lacks a scores object")
     result = {}
     for token, value in scores.items():
-        number = math.nan
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            try:
-                number = float(value)
-            except OverflowError:
-                pass
-        if not math.isfinite(number):
-            raise PeerProtocolError(f"policy peer sent score {value!r} for {token!r}; want a finite number")
-        result[token] = number
+        try:
+            result[token] = _finite(value)
+        except ValueError:
+            raise PeerProtocolError(
+                f"policy peer sent score {value!r} for {token!r}; want a finite number"
+            ) from None
     return result
 
 
 def _request(line: bytes) -> tuple[Context, list[str]]:
     doc = _json_object(line, "request")
-    ctx, allowed = doc.get("context"), doc.get("allowed")
-    if not isinstance(ctx, dict) or not all(isinstance(ctx.get(k), str) for k in Context.__slots__):
-        raise PeerProtocolError(f"request context must hold string fields {', '.join(Context.__slots__)}")
+    allowed = doc.get("allowed")
+    try:
+        ctx = context_from_json(doc.get("context"))
+    except (KeyError, TypeError):
+        raise PeerProtocolError(
+            f"request context must hold string fields {', '.join(Context._fields)}"
+        ) from None
     if not isinstance(allowed, list) or not all(isinstance(a, str) for a in allowed):
         raise PeerProtocolError("request allowed must be a list of strings")
-    return context_from_json(ctx), allowed
+    return ctx, allowed
 
 
 def serve_requests(

@@ -203,6 +203,12 @@ def _with_quality(catalog: list, quality) -> list:
     return catalog
 
 
+def _checkpoint(version=1, token="x", value=1.0, **context) -> dict:
+    """A one-entry checkpoint that loads, with the given parts swapped in."""
+    fields = {"task_category": "image_to_image", "prev_tool": "*", "branch_modality": "Image", "hint": "end"}
+    return {"version": version, "params": [{"context": {**fields, **context}, "token": token, "value": value}]}
+
+
 # (command, file the command reads, what the error names, document or a
 # function of the ws catalog document giving it). The registry file is
 # named by the config.
@@ -225,6 +231,19 @@ MALFORMED_DOCUMENTS = [
     ("parse", "registry", "registry", [{"name": ["Fill Mask"], "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
     ("exec", "--plan", "plan", {"nodes": [{"id": 0.7, "tool": "Image Deblurring", "inputs": [{"task": 0.2}]}], "output": 0.9}),
     ("exec", "--plan", "plan", {"nodes": [{"id": True, "tool": "Image Deblurring", "inputs": [{"task": False}]}], "output": True}),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(value="nan")),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(value="inf")),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(value=math.nan)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(value=-math.inf)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(value=10**400)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(value="2.5")),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(value=True)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(prev_tool=7)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(hint=None)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(token=7)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(token=None)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(version=7)),
+    ("eval", "--checkpoint", "checkpoint", _checkpoint(version="1")),
 ]
 
 
@@ -252,6 +271,13 @@ def test_malformed_document_is_a_one_line_error(ws, tmp_path, capsys, command, f
     assert error["type"] == "MalformedDocument"
     assert error["message"].startswith(f"malformed {what}: ")
     assert not (tmp_path / "x").exists()
+
+
+def test_checkpoint_cases_start_from_a_loadable_checkpoint(ws, tmp_path) -> None:
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(_checkpoint()))
+    argv = ws["base"][:2] + ["--out", str(tmp_path / "x"), "eval", "--task", "ii-000"]
+    assert main(argv + ["--catalog", str(ws["catalog"]), "--checkpoint", str(path)]) == 0
 
 
 def test_missing_registry_file_is_an_engine_error(tmp_path, capsys) -> None:

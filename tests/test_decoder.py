@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 
@@ -34,6 +35,7 @@ from planforge.decoder import (
 from planforge.errors import InvalidPlan, NoFeasiblePlan
 from planforge.plan_ir import (
     TaskCategory,
+    TaskInput,
     TaskSpec,
     from_linear_sequence,
     is_nonlinear,
@@ -314,6 +316,12 @@ _REGISTRY = default_registry()
 _SPACES = {category: category_space(category, CatalogConfig()) for category in TaskCategory}
 
 
+def _case_policy(table_seed: int | None):
+    if table_seed is None:
+        return UniformPolicy()
+    return TabularPolicy(PolicyParams(_RandomTable(table_seed)))
+
+
 @st.composite
 def _beam_cases(draw):
     category = draw(st.sampled_from(list(TaskCategory)))
@@ -332,11 +340,7 @@ def test_beam_search_matches_reference_beam(case) -> None:
     """Building only the surviving children changes no ranked plan or log-probability."""
     category, chains, builder, beam_size, table_seed = case
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
-    policy = (
-        UniformPolicy()
-        if table_seed is None
-        else TabularPolicy(PolicyParams(_RandomTable(table_seed)))
-    )
+    policy = _case_policy(table_seed)
     cfg = DecoderConfig(beam_size=beam_size)
     expected = _reference_beam(policy, task, _REGISTRY, cfg)
     if not expected:
@@ -345,6 +349,49 @@ def test_beam_search_matches_reference_beam(case) -> None:
         return
     got = beam_search(policy, task, _REGISTRY, cfg)
     assert [(plan_hash(dp.plan), dp.log_prob) for dp in got] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_beam_cases())
+@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), 8, None))
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK,), (C.MASK,)), (S.QA,), 8, 7))
+def test_branch_flags_name_the_consumed_task_inputs(case) -> None:
+    """step_frontier reads "every task input consumed" from branch flags.
+
+    Branch i reads task input i with its first tool or as a join's head,
+    so on every state the beam reaches, the task inputs the nodes
+    reference are the branches that have a head or were consumed.
+    """
+    category, chains, builder, beam_size, table_seed = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    policy = _case_policy(table_seed)
+    cfg = DecoderConfig(beam_size=beam_size)
+    live = [initial_state(task)]
+    while live:
+        grown = []
+        for state in live:
+            frontier = step_frontier(state, task, _REGISTRY, cfg.max_tools_per_branch)
+            if frontier is None:
+                continue
+            scores = policy.score_step(
+                frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
+            )
+            for token in frontier.actions:
+                child = apply_action(state, token, task, _REGISTRY, lp_delta=scores[token])
+                from_nodes = {
+                    ref.index
+                    for node in child.nodes
+                    for ref in node.input_refs
+                    if isinstance(ref, TaskInput)
+                }
+                from_flags = {
+                    b.root_input for b in child.branches if b.head is not None or b.consumed
+                }
+                assert from_nodes == from_flags
+                if not child.done:
+                    grown.append(child)
+        grown.sort(key=lambda s: (-s.log_prob, s.path))
+        live = grown[: cfg.beam_size]
 
 
 # Uniform-policy decoding of a small seeded catalog: (task, beam size,
@@ -417,11 +464,7 @@ def test_sampled_plans_replay_to_themselves(case) -> None:
     """
     category, chains, builder, table_seed, epsilon, max_tools, rng_seed = case
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
-    policy = (
-        UniformPolicy()
-        if table_seed is None
-        else TabularPolicy(PolicyParams(_RandomTable(table_seed)))
-    )
+    policy = _case_policy(table_seed)
     cfg = SamplerConfig(max_tools_per_branch=max_tools)
     try:
         plan = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
@@ -434,3 +477,32 @@ def test_sampled_plans_replay_to_themselves(case) -> None:
         state = apply_action(state, step.chosen, task, _REGISTRY)
     assert state.done
     assert to_plan(state) == plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(_beam_cases(), _sample_cases())
+def test_beam_and_sampler_return_only_valid_plans(beam_case, sample_case) -> None:
+    """Every plan the walkers hand out passes validate_plan.
+
+    Both walkers filter with validate_plan today; this is the invariant
+    that moving validation to the plan-file boundaries would rest on.
+    """
+    category, chains, builder, beam_size, table_seed = beam_case
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    policy = _case_policy(table_seed)
+    try:
+        decoded = beam_search(policy, task, _REGISTRY, DecoderConfig(beam_size=beam_size))
+        found = [(task, dp.plan) for dp in decoded]
+    except NoFeasiblePlan:
+        found = []
+
+    category, chains, builder, table_seed, epsilon, max_tools, rng_seed = sample_case
+    task = build_task("x-001", category, chains, builder, samples_per_task=1)
+    policy = _case_policy(table_seed)
+    cfg = SamplerConfig(max_tools_per_branch=max_tools)
+    with contextlib.suppress(NoFeasiblePlan):
+        plan = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
+        found.append((task, plan))
+
+    for task, plan in found:
+        assert validate_plan(plan, _REGISTRY, task.input_signature, task.output_modality).ok

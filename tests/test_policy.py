@@ -8,7 +8,9 @@ import random
 import socket
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from planforge.benchgen import oracle_best_plan, required_oracle_depth
 from planforge.context import Context, context_levels, context_to_json
@@ -163,6 +165,26 @@ def test_params_json_round_trip() -> None:
     assert doc["version"] == 1
     back = params_from_json(doc)
     assert back.values == params.values
+
+
+_FIELDS = st.text(alphabet="ab*", max_size=2)
+_TABLES = st.dictionaries(
+    st.tuples(st.builds(Context, _FIELDS, _FIELDS, _FIELDS, _FIELDS), st.sampled_from(("a", "<end>"))),
+    st.floats(allow_nan=False, allow_infinity=False),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TABLES, st.randoms(use_true_random=False))
+def test_checkpoint_bytes_do_not_depend_on_insertion_order(values, rng) -> None:
+    """Entries are sorted by their JSON form, so a checkpoint's bytes
+    depend only on the table, not on how its keys hash or were added."""
+    items = list(values.items())
+    rng.shuffle(items)
+    doc = params_to_json(PolicyParams(values))
+    assert json.dumps(params_to_json(PolicyParams(dict(items)))) == json.dumps(doc)
+    assert params_to_json(params_from_json(json.loads(json.dumps(doc)))) == doc
 
 
 def test_guided_policy_argmax_is_the_target_step(catalog, registry) -> None:
