@@ -34,13 +34,13 @@ from .plan_ir import (
     task_from_json,
     task_to_json,
 )
-from .registry import ToolRegistry
+from .registry import ToolRegistry, ToolSpec
 from .simkit import (
     DEFAULT_CONSTANTS,
     IMAGE_CORRUPTIONS,
     SEMANTIC_SIGNATURES,
     Corruption,
-    Expr,
+    Language,
     Modality,
     Payload,
     SemanticId,
@@ -48,11 +48,13 @@ from .simkit import (
     apply_chain,
     apply_tool,
     chain_similarity,
-    content_similarity,
+    count_down,
+    countdown_structure,
     expr_labels,
+    label_countdown,
+    language_term,
     make_leaf,
     scale_quality,
-    structure_similarity,
 )
 
 Chain = tuple[Corruption, ...]
@@ -61,6 +63,11 @@ Combo = tuple[tuple[Chain, ...], tuple[SemanticId, ...]]
 
 @dataclass(frozen=True, slots=True)
 class CatalogConfig:
+    """Tasks per category, samples per task, the longest corruption
+    chain and the seed. Counts are at least 0, and a count above the
+    category's space is an `InfeasibleCount` when the catalog is
+    generated; every task has at least one sample."""
+
     image_image: int = 47
     image_text: int = 24
     text_image: int = 22
@@ -70,6 +77,13 @@ class CatalogConfig:
     samples_per_task: int = 20
     max_chain_length: int = 4
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for _, _, name in _CATEGORY_ORDER:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.samples_per_task < 1:
+            raise ValueError(f"samples_per_task must be >= 1, got {self.samples_per_task}")
 
 
 # The five well-formed text corruption chains of length <= 2. A second
@@ -426,39 +440,79 @@ def _joined_plan(
     return PlanGraph(nodes, nodes[-1].id)
 
 
-def _with_quality(payload: Payload, quality: float) -> Payload:
-    return Payload(payload.modality, payload.expr, payload.language, payload.corruptions, quality)
+# What the oracle carries of a payload: everything but its expr and
+# quality, which the dynamics table shows it need not carry.
+Shape = tuple[Modality, Language, Chain]
+# A tool chain as the oracle walks it: tool names, output modality,
+# output shape (None if a step raises), wrap ops, quality factors.
+ToolChain = tuple[tuple[str, ...], Modality, Shape | None, tuple[str, ...], tuple[float, ...]]
+
+_PLACEHOLDER = "_"
+
+
+def _shape(payload: Payload) -> Shape:
+    return payload.modality, payload.language, payload.corruptions
+
+
+class _DynamicsTable(dict):
+    """The oracle's tool-dynamics table: (tool semantic, input shapes) ->
+    (output shape, quality factor, wrap op or None), or None where the
+    tool raises. One table lives for one `oracle_best_plan` call.
+
+    Each entry is filled on first lookup by one `apply_tool` run on
+    quality-1.0 placeholder leaves of the input shapes. By expr
+    equivariance (see `apply_tool`) it holds for inputs with any exprs
+    and qualities: the output keeps the input expr or wraps the input
+    exprs in the op, and its quality is ``q * factor`` on one input of
+    quality ``q`` and ``(q0 * q1) * factor`` on a join.
+    """
+
+    def __init__(self, constants: SimConstants) -> None:
+        super().__init__()
+        self.constants = constants
+
+    def __missing__(self, key: tuple[SemanticId, tuple[Shape, ...]]):
+        semantic, shapes = key
+        leaves = tuple(Payload(m, _PLACEHOLDER, lang, stack) for m, lang, stack in shapes)
+        try:
+            out = apply_tool(semantic, leaves, self.constants)
+        except EngineError:
+            entry = None
+        else:
+            op = None if out.expr == _PLACEHOLDER else out.expr[0]
+            entry = _shape(out), out.quality, op
+        self[key] = entry
+        return entry
 
 
 def _enumerate_chains(
-    registry: ToolRegistry,
+    arity1: list[ToolSpec],
     start_modality: Modality,
-    start_payload: Payload | None,
+    start_shape: Shape | None,
     max_depth: int,
-    constants: SimConstants,
-) -> list[tuple[tuple[str, ...], Modality, Payload | None, tuple[float, ...]]]:
-    """All duplicate-free single-input tool chains up to the depth, as
-    (tool names, output modality, output at quality 1.0, quality factors).
+    table: _DynamicsTable,
+) -> list[ToolChain]:
+    """All duplicate-free single-input tool chains up to the depth from a
+    start of the given modality and shape, as (tool names, output
+    modality, output shape, wrap ops, quality factors).
 
-    The chains run on a quality-1.0 copy of the start payload, and each
-    step's factor is the quality it leaves on its quality-1.0 input.
-    Single-input tools factor quality out (see `apply_tool`), so a
-    chain's output on the start payload itself is its listed output with
-    quality ``scale_quality(start_payload.quality, factors)``, and the
-    list depends only on the start payload's shape: its modality, expr,
-    language and corruptions. A chain that errors carries None and
-    scores zero, as the executor would.
+    Each step is one lookup in the dynamics ``table``. The ops are the
+    wrap ops of the chain's steps in order, so its output expr is the
+    start expr wrapped in them, and its labels are the start's labels
+    plus the ops. Each step's factor is the quality it leaves on a
+    quality-1.0 input, so the output quality on a start of quality
+    ``q`` is ``scale_quality(q, factors)``. The list depends only on
+    the start's modality and shape. A chain that raises, and every
+    chain from a start shape of None (a join that raised), carries
+    shape None and scores zero, as the executor would.
     """
-    arity1 = [spec for spec in registry if len(spec.inputs) == 1]
-    unit = None if start_payload is None else _with_quality(start_payload, 1.0)
-    found: list[tuple[tuple[str, ...], Modality, Payload | None, tuple[float, ...]]] = [
-        ((), start_modality, unit, ())
-    ]
+    found: list[ToolChain] = [((), start_modality, start_shape, (), ())]
 
     def grow(
         names: tuple[str, ...],
         modality: Modality,
-        payload: Payload | None,
+        shape: Shape | None,
+        ops: tuple[str, ...],
         factors: tuple[float, ...],
     ) -> None:
         if len(names) == max_depth:
@@ -466,21 +520,19 @@ def _enumerate_chains(
         for spec in arity1:
             if spec.name in names or spec.inputs[0] is not modality:
                 continue
-            nxt: Payload | None = None
-            grown_factors = factors
-            if payload is not None:
-                try:
-                    out = apply_tool(spec.semantic, (payload,), constants)
-                except EngineError:
-                    pass
-                else:
-                    nxt = out if out.quality == 1.0 else _with_quality(out, 1.0)
-                    grown_factors = factors + (out.quality,)
+            nxt, grown_ops, grown_factors = None, ops, factors
+            if shape is not None:
+                entry = table[spec.semantic, (shape,)]
+                if entry is not None:
+                    nxt, factor, op = entry
+                    grown_factors = factors + (factor,)
+                    if op is not None:
+                        grown_ops = ops + (op,)
             grown = names + (spec.name,)
-            found.append((grown, spec.output, nxt, grown_factors))
-            grow(grown, spec.output, nxt, grown_factors)
+            found.append((grown, spec.output, nxt, grown_ops, grown_factors))
+            grow(grown, spec.output, nxt, grown_ops, grown_factors)
 
-    grow((), start_modality, unit, ())
+    grow((), start_modality, start_shape, (), ())
     return found
 
 
@@ -504,19 +556,26 @@ def oracle_best_plan(
     candidate that would become the best is kept only if the decoder
     can replay it.
 
-    Chains are enumerated on quality-1.0 payloads with their quality
-    factors (see `_enumerate_chains`), and each chain's content term is
-    computed once, from a structure term memo keyed by expr. A chain's
-    score at input quality ``q`` is then `chain_similarity` of its
-    content term, ``q`` and its factors, the same float as `similarity`
-    of the executed output. Tail chains are memoized, local to the
-    call, by the join's output modality and the joined payload's shape
-    (everything but its quality), and each joined payload folds its own
-    quality through the memoized factors. This is a transposition
-    table, not pruning: equal keys give equal chains, the search visits
-    every candidate, and ``plans_examined`` counts each one. The plan
-    graph and its document are built only for a candidate whose score
-    and tool count tie or beat the current best.
+    The search never builds a payload. Chains walk a tool-dynamics
+    table local to the call (see `_DynamicsTable`), so each tool runs
+    once per distinct input shape, and carry their wrap ops and quality
+    factors (see `_enumerate_chains`). Tails are enumerated once per
+    (join output modality, joined shape) and shared by every joined
+    expr of that shape. A joined quality is ``(q0 * q1) * factor``, the
+    order `apply_tool` multiplies in.
+
+    The structure term comes from label counts: the reference labels
+    are counted down once over the start exprs, once more per joined
+    expr over its head chains' ops and join op, and then over each
+    distinct tail's ops. These are the integers `structure_similarity`
+    divides, so a candidate's score at input quality ``q`` is
+    `chain_similarity` of its content term, ``q`` and its factors, the
+    same float as `similarity` of the executed output.
+
+    This is a transposition table, not pruning: the search visits every
+    candidate, and ``plans_examined`` counts each one. The plan graph
+    and its document are built only for a candidate whose score and
+    tool count tie or beat the current best.
     """
     if len(task.input_signature) > 2:
         raise ValueError("oracle handles one or two task inputs")
@@ -528,26 +587,30 @@ def oracle_best_plan(
     reference = sample.reference
     reference_labels = expr_labels(reference.expr)
     target = task.output_modality
-    structure: dict[Expr, float] = {}
+    arity1 = [spec for spec in registry if len(spec.inputs) == 1]
+    table = _DynamicsTable(constants)
 
-    def reaching_target(chains: list) -> list[tuple]:
-        """(names, name set, factors, content term, residuals) of each
-        chain that ends on the target modality; factors None if it errors."""
-        found = []
-        for names, modality, payload, factors in chains:
+    def reaching_target(chains: list[ToolChain]) -> tuple[list[tuple], list[tuple[str, ...]]]:
+        """(found, ops): (names, name set, factors, index into ops,
+        language term, residuals) of each chain that ends on the target
+        modality, factors None if it raises; ops lists each distinct
+        wrap-op tuple of these chains once."""
+        found, index = [], {}
+        for names, modality, shape, ops, factors in chains:
             if modality is not target:
                 continue
-            if payload is None:
-                found.append((names, frozenset(names), None, 0.0, 0))
+            if shape is None:
+                found.append((names, frozenset(names), None, 0, 0.0, 0))
                 continue
-            w_struct = structure.get(payload.expr)
-            if w_struct is None:
-                w_struct = structure[payload.expr] = structure_similarity(
-                    payload.expr, reference.expr, reference_labels
-                )
-            content = content_similarity(payload, reference, constants, w_struct)
-            found.append((names, frozenset(names), factors, content, len(payload.corruptions)))
-        return found
+            found.append((
+                names,
+                frozenset(names),
+                factors,
+                index.setdefault(ops, len(index)),
+                language_term(shape[1], reference.language, constants),
+                len(shape[2]),
+            ))
+        return found, list(index)
 
     examined = 0
     # Every score is >= 0, so the first candidate always reaches offer().
@@ -575,15 +638,17 @@ def oracle_best_plan(
 
     if len(task.input_signature) == 1:
         start = sample.inputs[0]
-        chains = reaching_target(
-            _enumerate_chains(registry, task.input_signature[0], start, max_depth, constants)
+        chains, distinct_ops = reaching_target(
+            _enumerate_chains(arity1, task.input_signature[0], _shape(start), max_depth, table)
         )
-        for names, _, factors, content, residuals in chains:
+        root = label_countdown(reference_labels, start.expr)
+        structs = [countdown_structure(count_down(root, ops)) for ops in distinct_ops]
+        for names, _, factors, k, w_lang, residuals in chains:
             if not names:
                 continue
             examined += 1
             value = 0.0 if factors is None else chain_similarity(
-                content, start.quality, factors, residuals, constants
+                structs[k] * w_lang, start.quality, factors, residuals, constants
             )
             n_nodes = len(names)
             if value > best_score or (value == best_score and n_nodes <= best_len):
@@ -591,52 +656,68 @@ def oracle_best_plan(
                 offer(value, n_nodes, PlanGraph(tuple(nodes), nodes[-1].id))
     else:
         joins = [spec for spec in registry if len(spec.inputs) == 2]
-        # Each input's chains, with the payload each leaves on that input.
+        # Both start exprs' labels, counted down once: a joined output's
+        # labels are these plus its head chains' ops, join op and tail ops.
+        root = label_countdown(reference_labels, sample.inputs[0].expr, sample.inputs[1].expr)
+        # Each input's chains, with the quality each leaves on that input.
         per_input = []
         for i in range(2):
             start = sample.inputs[i]
-            chains = _enumerate_chains(registry, task.input_signature[i], start, max_depth, constants)
+            chains = _enumerate_chains(
+                arity1, task.input_signature[i], _shape(start), max_depth, table
+            )
             per_input.append([
-                (names, modality, None if payload is None else _with_quality(
-                    payload, scale_quality(start.quality, factors)
-                ))
-                for names, modality, payload, factors in chains
+                (names, modality, shape, ops, scale_quality(start.quality, factors))
+                for names, modality, shape, ops, factors in chains
             ])
-        # (join output modality, joined payload shape) -> reaching_target of its tails
-        tail_memo: dict[tuple, list] = {}
+        # (join output modality, joined shape) -> reaching_target of its tails
+        tail_memo: dict[tuple, tuple] = {}
+        # (that key, the joined expr's ops) -> structure term of each distinct
+        # tail ops tuple on that joined expr
+        struct_memo: dict[tuple, list[float]] = {}
         for a, b in ((0, 1), (1, 0)):
             for join in joins:
-                for names0, mod0, pay0 in per_input[a]:
+                for names0, mod0, shape0, ops0, q0 in per_input[a]:
                     if mod0 is not join.inputs[0]:
                         continue
-                    for names1, mod1, pay1 in per_input[b]:
+                    for names1, mod1, shape1, ops1, q1 in per_input[b]:
                         if mod1 is not join.inputs[1]:
                             continue
                         used = set(names0) | set(names1)
                         if len(used) != len(names0) + len(names1) or join.name in used:
                             continue
-                        joined: Payload | None = None
-                        if pay0 is not None and pay1 is not None:
-                            try:
-                                joined = apply_tool(join.semantic, (pay0, pay1), constants)
-                            except EngineError:
-                                joined = None
-                        key = (join.output, None) if joined is None else (
-                            join.output, joined.expr, joined.language, joined.corruptions
-                        )
-                        tails = tail_memo.get(key)
-                        if tails is None:
-                            tails = tail_memo[key] = reaching_target(
-                                _enumerate_chains(registry, join.output, joined, max_depth, constants)
-                            )
+                        entry = None
+                        if shape0 is not None and shape1 is not None:
+                            entry = table[join.semantic, (shape0, shape1)]
+                        joined_shape = None if entry is None else entry[0]
+                        key = (join.output, joined_shape)
+                        found = tail_memo.get(key)
+                        if found is None:
+                            found = tail_memo[key] = reaching_target(_enumerate_chains(
+                                arity1, join.output, joined_shape, max_depth, table
+                            ))
+                        tails, distinct_ops = found
+                        if entry is None:
+                            structs, joined_quality = (), 0.0
+                        else:
+                            _, factor, op = entry
+                            joined_quality = (q0 * q1) * factor
+                            joined_ops = ops0 + ops1 + (op,)
+                            structs = struct_memo.get((key, joined_ops))
+                            if structs is None:
+                                joined = count_down(root, joined_ops)
+                                structs = struct_memo[key, joined_ops] = [
+                                    countdown_structure(count_down(joined, ops))
+                                    for ops in distinct_ops
+                                ]
                         used.add(join.name)
                         head_len = len(used)
-                        for tail, tail_set, factors, content, residuals in tails:
+                        for tail, tail_set, factors, k, w_lang, residuals in tails:
                             if not used.isdisjoint(tail_set):
                                 continue
                             examined += 1
                             value = 0.0 if factors is None else chain_similarity(
-                                content, joined.quality, factors, residuals, constants
+                                structs[k] * w_lang, joined_quality, factors, residuals, constants
                             )
                             n_nodes = head_len + len(tail)
                             if value > best_score or (value == best_score and n_nodes <= best_len):

@@ -71,11 +71,12 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _read_json(path: str, what: str):
-    """Parse an input file; a missing, unreadable or non-JSON one is an EngineError."""
+    """Parse an input file; a missing, unreadable, non-JSON or too deeply
+    nested one is an EngineError."""
     text = _read_text(path, what)
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise EngineError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

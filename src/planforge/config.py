@@ -80,10 +80,12 @@ def load_config(path: str | None = None) -> EngineConfig:
         return EngineConfig()
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_json(doc)
 

@@ -389,7 +389,11 @@ def task_to_json(task: TaskSpec) -> dict:
 
 
 def task_from_json(doc: dict) -> TaskSpec:
+    """A task from its document; a task with no samples is malformed,
+    since the oracle and every score read its samples."""
     with reading("task"):
+        if not doc["dataset"]:
+            raise ValueError("dataset is empty")
         return TaskSpec(
             id=doc["id"],
             description=doc["description"],

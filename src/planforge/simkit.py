@@ -22,6 +22,7 @@ the only way to reach quality 1.0.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -135,9 +136,24 @@ Expr = str | tuple
 
 @dataclass(frozen=True, slots=True)
 class SimConstants:
+    """Quality factors: ``beta`` for a buried restore, ``gamma`` for a
+    no-op restore and per residual corruption, ``language_mismatch`` for
+    an output in the wrong language. ``beta`` and ``gamma`` lie in
+    (0, 1], so every quality stays in (0, 1]; ``language_mismatch`` lies
+    in [0, 1], so every score does."""
+
     beta: float = 0.8
     gamma: float = 0.9
     language_mismatch: float = 0.5
+
+    def __post_init__(self) -> None:
+        # Comparisons with NaN are false, so these also reject NaN.
+        for name in ("beta", "gamma"):
+            value = getattr(self, name)
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {value}")
+        if not 0.0 <= self.language_mismatch <= 1.0:
+            raise ValueError(f"language_mismatch must lie in [0, 1], got {self.language_mismatch}")
 
 
 DEFAULT_CONSTANTS = SimConstants()
@@ -262,12 +278,19 @@ def apply_tool(
 ) -> Payload:
     """Run one tool on its input payloads and return the output payload.
 
-    Every branch computes the output quality as one product ``q * c``:
-    ``q`` is the input quality (the product of both for two inputs) and
-    ``c`` depends only on the inputs' modality, expr, language and
-    corruptions (``c`` is 1.0 where quality passes through). So on one
-    input, the output at any quality is the output at quality 1.0, whose
-    quality is ``c``, with quality ``q * c``; errors ignore quality too.
+    Expr equivariance: what the tool does depends only on the inputs'
+    shapes (modality, language and corruption stack), never on their
+    exprs. Restores and the translate undo pass the input expr through;
+    transforms and the translate forward wrap the input exprs in one op
+    (a join wraps both). The output's modality, language and stack, the
+    op and any error are the same for every expr.
+
+    Quality factors out too. Every branch computes the output quality
+    as ``q * c``, or ``((1.0 * q0) * q1) * c`` for two inputs, where
+    ``c`` depends only on the inputs' shapes (``c`` is 1.0 where quality
+    passes through). So the output at any input qualities is the output
+    at quality 1.0, whose quality is ``c``, with the inputs' qualities
+    multiplied in; errors ignore quality too.
     """
     _check_inputs(semantic, inputs)
 
@@ -327,51 +350,81 @@ def expr_labels(expr: Expr) -> Counter:
     return Counter(_node_labels(expr))
 
 
+# A structure term in progress, as the integers `structure_similarity`
+# divides: (reference label counts not yet matched, intersection, union).
+Countdown = tuple[dict[str, int], int, int]
+
+
+def count_down(countdown: Countdown, labels: Iterable[str]) -> Countdown:
+    """``countdown`` after walking more output labels: a label the
+    reference still has left is matched and counted down, any other
+    label grows the union. ``countdown`` itself is left as it was."""
+    remaining, inter, union = countdown
+    remaining = dict(remaining)
+    for label in labels:
+        left = remaining.get(label)
+        if left:
+            remaining[label] = left - 1
+            inter += 1
+        else:
+            union += 1
+    return remaining, inter, union
+
+
+def label_countdown(ref_labels: Counter, *exprs: Expr) -> Countdown:
+    """The reference labels ``ref_labels`` counted down over every node
+    label of ``exprs``. An output whose labels are these plus some ops,
+    such as ``exprs`` wrapped by a tool chain, has structure term
+    ``countdown_structure(count_down(countdown, ops))``."""
+    countdown = (dict(ref_labels), 0, ref_labels.total())
+    for expr in exprs:
+        countdown = count_down(countdown, _node_labels(expr))
+    return countdown
+
+
+def countdown_structure(countdown: Countdown) -> float:
+    """The multiset Jaccard ``inter / union`` of a finished countdown."""
+    _, inter, union = countdown
+    return inter / union if union else 0.0
+
+
 def structure_similarity(out: Expr, ref: Expr, ref_labels: Counter | None = None) -> float:
     """Structure term of `similarity`: 1.0 on identical exprs, multiset
     Jaccard over node labels otherwise.
 
     The intersection ``inter`` is counted by walking ``out`` against a
-    countdown copy of the reference's label counts, and the union is
-    ``|out| + |ref| - inter``. Per label ``max + min = a + b``, so these
-    are exactly the integers ``sum(min)`` and ``sum(max)`` over the two
-    label multisets.
+    countdown copy of the reference's label counts, and the union grows
+    by one per unmatched label from ``|ref|``. Per label
+    ``max + min = a + b``, so these are exactly the integers
+    ``sum(min)`` and ``sum(max)`` over the two label multisets. On
+    identical exprs the two are equal, so the countdown also gives 1.0.
 
-    ``ref_labels`` is ``expr_labels(ref)``, for a caller that scores
-    many outputs against one reference and has already computed it.
+    ``ref_labels`` is ``expr_labels(ref)``, for a caller that has
+    already computed it.
     """
     if out == ref:
         return 1.0
     if ref_labels is None:
         ref_labels = expr_labels(ref)
-    remaining = dict(ref_labels)
-    inter = size = 0
-    for label in _node_labels(out):
-        size += 1
-        left = remaining.get(label)
-        if left:
-            remaining[label] = left - 1
-            inter += 1
-    union = size + ref_labels.total() - inter
-    return inter / union if union else 0.0
+    return countdown_structure(label_countdown(ref_labels, out))
+
+
+def language_term(language: Language, ref_language: Language, constants: SimConstants) -> float:
+    """Language term of `similarity`: 1.0 on a match, else ``language_mismatch``."""
+    return 1.0 if language is ref_language else constants.language_mismatch
 
 
 def content_similarity(
-    out: Payload,
-    ref: Payload,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-    w_struct: float | None = None,
+    out: Payload, ref: Payload, constants: SimConstants = DEFAULT_CONSTANTS
 ) -> float:
     """Content term of `similarity`: the structure term times the
     language term, 0.0 across modalities. It does not read quality or
-    corruptions. ``w_struct`` is as in `similarity`.
+    corruptions.
     """
     if out.modality is not ref.modality:
         return 0.0
-    if w_struct is None:
-        w_struct = structure_similarity(out.expr, ref.expr)
-    w_lang = 1.0 if out.language is ref.language else constants.language_mismatch
-    return w_struct * w_lang
+    w_struct = structure_similarity(out.expr, ref.expr)
+    return w_struct * language_term(out.language, ref.language, constants)
 
 
 def scale_quality(quality: float, factors: tuple[float, ...]) -> float:
@@ -406,10 +459,7 @@ def chain_similarity(
 
 
 def similarity(
-    out: Payload,
-    ref: Payload,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-    w_struct: float | None = None,
+    out: Payload, ref: Payload, constants: SimConstants = DEFAULT_CONSTANTS
 ) -> float:
     """Score an output payload against a reference payload in [0, 1].
 
@@ -417,12 +467,10 @@ def similarity(
     ``(w_struct * w_lang) * (quality * gamma ** residuals)``: the
     structure term, the language term, and the output's own quality
     discounted per residual corruption. The left factor,
-    `content_similarity`, does not depend on quality. ``w_struct`` is
-    the structure term, ``structure_similarity(out.expr, ref.expr)``,
-    for a caller that has already computed it.
+    `content_similarity`, does not depend on quality.
     """
     return chain_similarity(
-        content_similarity(out, ref, constants, w_struct),
+        content_similarity(out, ref, constants),
         out.quality,
         (),
         len(out.corruptions),

@@ -232,6 +232,29 @@ def test_oracle_reward_grows_with_depth(registry) -> None:
     assert shallow.best_reward < deep.best_reward
 
 
+def test_oracle_runs_each_tool_dynamics_once(registry, monkeypatch) -> None:
+    # The oracle walks a tool-dynamics table: one apply_tool per distinct
+    # (tool, input shapes), however many exprs share those shapes.
+    from planforge import benchgen
+
+    task = build_task(
+        "itt-x", TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,)
+    )
+    calls = []
+    real = benchgen.apply_tool
+
+    def counting(semantic, inputs, constants):
+        calls.append((semantic, tuple((p.modality, p.language, p.corruptions) for p in inputs)))
+        return real(semantic, inputs, constants)
+
+    monkeypatch.setattr(benchgen, "apply_tool", counting)
+    result = oracle_best_plan(task, registry, 2)
+    assert calls and len(calls) == len(set(calls))
+    assert {len(inputs) for _, inputs in calls} == {1, 2}
+    assert result.plans_examined == 13923
+    assert result.best_reward == 1.0
+
+
 def test_oracle_rejects_empty_dataset(registry) -> None:
     task = build_task("ii-x", TaskCategory.IMAGE_TO_IMAGE, ((C.GRAY,),), (), samples_per_task=0)
     with pytest.raises(ValueError):

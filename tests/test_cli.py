@@ -244,6 +244,8 @@ MALFORMED_DOCUMENTS = [
     ("eval", "--checkpoint", "checkpoint", _checkpoint(token=None)),
     ("eval", "--checkpoint", "checkpoint", _checkpoint(version=7)),
     ("eval", "--checkpoint", "checkpoint", _checkpoint(version="1")),
+    ("eval", "--catalog", "task", lambda catalog: [{**catalog[0], "dataset": []}] + catalog[1:]),
+    ("oracle", "--catalog", "task", lambda catalog: [{**catalog[0], "dataset": []}] + catalog[1:]),
 ]
 
 
@@ -333,6 +335,43 @@ def test_parse_emits_json(capsys) -> None:
     doc = json.loads(capsys.readouterr().out)
     assert doc["sequence"] == ["Fill Mask"]
     assert doc["dropped"] == [{"reason": "not in registry", "text": "Style Transfer"}]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000, b"{not json"],
+    ids=["not-utf8", "deeply-nested", "garbled"],
+)
+def test_unreadable_config_is_a_one_line_config_error(tmp_path, capsys, content) -> None:
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert main(["--config", str(config), "--out", str(tmp_path / "x"), "gen"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(config) in error["message"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag", ["--catalog", "--plan", "--checkpoint"])
+def test_deeply_nested_input_file_is_an_engine_error(ws, tmp_path, capsys, flag) -> None:
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    files = {"--catalog": str(ws["catalog"]), flag: str(deep)}
+    argv = ws["base"][:2] + ["--out", str(tmp_path / "x")]
+    if flag == "--plan":
+        argv += ["exec", "--task", "ii-000", "--plan", files.pop("--plan")]
+    else:
+        argv += ["eval", "--task", "ii-000"]
+    for name, value in files.items():
+        argv += [name, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "EngineError"
+    assert str(deep) in error["message"]
 
 
 def test_parse_reads_text_file(tmp_path, capsys) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -107,6 +108,39 @@ def test_scalar_types_must_match_the_defaults() -> None:
         config_from_json({"train": {"sampling": {"temperature": "hot"}}})
     with pytest.raises(ConfigError):
         config_from_json({"sim": {"beta": [0.8]}})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"sim": {"gamma": 0}},
+        {"sim": {"gamma": 1.5}},
+        {"sim": {"gamma": math.nan}},
+        {"sim": {"gamma": -0.1}},
+        {"sim": {"beta": 0.0}},
+        {"sim": {"beta": math.inf}},
+        {"sim": {"beta": math.nan}},
+        {"sim": {"language_mismatch": -0.5}},
+        {"sim": {"language_mismatch": 1.01}},
+        {"sim": {"language_mismatch": math.nan}},
+        {"catalog": {"image_image": -1}},
+        {"catalog": {"text_text_text": -3}},
+        {"catalog": {"samples_per_task": 0}},
+        {"catalog": {"samples_per_task": -2}},
+    ],
+)
+def test_out_of_range_constants_are_config_errors(doc) -> None:
+    with pytest.raises(ConfigError, match=r"^bad value in (sim|catalog): "):
+        config_from_json(doc)
+
+
+def test_range_edges_are_accepted() -> None:
+    cfg = config_from_json({
+        "sim": {"beta": 1, "gamma": 1e-9, "language_mismatch": 0},
+        "catalog": {"image_image": 0, "samples_per_task": 1},
+    })
+    assert (cfg.sim.beta, cfg.sim.gamma, cfg.sim.language_mismatch) == (1, 1e-9, 0)
+    assert (cfg.catalog.image_image, cfg.catalog.samples_per_task) == (0, 1)
 
 
 def test_int_is_accepted_for_a_float_field() -> None:

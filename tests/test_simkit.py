@@ -12,9 +12,10 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
+from planforge.benchgen import _DynamicsTable
 from planforge.errors import (
     ArityMismatch,
     EngineError,
@@ -33,12 +34,16 @@ from planforge.simkit import (
     Modality,
     Payload,
     SemanticId,
+    SimConstants,
     apply_chain,
     apply_corruption,
     apply_tool,
     chain_similarity,
     content_similarity,
+    count_down,
+    countdown_structure,
     expr_labels,
+    label_countdown,
     make_leaf,
     parse_expr,
     payload_from_json,
@@ -313,16 +318,18 @@ _SMALL_EXPRS = st.recursive(
 
 
 @st.composite
-def _payloads(draw, exprs=_SMALL_EXPRS):
-    """Any valid payload: both modalities, both text languages, any stack
-    of the modality's corruptions, any quality in (0, 1]."""
-    modality = draw(st.sampled_from(list(Modality)))
+def _payloads(draw, exprs=_SMALL_EXPRS, modality=None, qualities=_QUALITIES):
+    """Any valid payload: both modalities (or the given one), both text
+    languages, any stack of the modality's corruptions, any quality in
+    (0, 1]."""
+    if modality is None:
+        modality = draw(st.sampled_from(list(Modality)))
     if modality is Modality.IMAGE:
         language, kinds = Language.NONE, IMAGE_CORRUPTIONS
     else:
         language, kinds = draw(st.sampled_from([Language.EN, Language.DE])), TEXT_CORRUPTIONS
     stack = tuple(draw(st.lists(st.sampled_from(kinds), max_size=4)))
-    return Payload(modality, draw(exprs), language, stack, draw(_QUALITIES))
+    return Payload(modality, draw(exprs), language, stack, draw(qualities))
 
 
 def _unit(payload: Payload) -> Payload:
@@ -401,3 +408,108 @@ def test_chain_similarity_matches_running_the_chain(start, ref, chain) -> None:
     assert similarity(payload, ref) == chain_similarity(
         content, start.quality, tuple(factors), len(unit.corruptions)
     )
+
+
+# Expr equivariance: a tool's dynamics depend on its inputs' shapes alone.
+# The oracle's tool-dynamics table runs each tool once per input shape and
+# carries exprs as op tuples, relying on the three properties below.
+
+_CONSTANTS = st.sampled_from(
+    [DEFAULT_CONSTANTS, SimConstants(beta=0.3, gamma=0.7, language_mismatch=0.25)]
+)
+# A join multiplies two qualities; from 1e-150 up the product stays a
+# valid quality rather than underflowing to 0.
+_JOIN_QUALITIES = st.floats(min_value=1e-150, max_value=1.0)
+
+
+@st.composite
+def _tool_inputs(draw):
+    """A semantic and inputs of its arity, each of the signature's
+    modality two times in three (the rest exercise the modality check)."""
+    semantic = draw(st.sampled_from(list(SemanticId)))
+    expected, _ = SEMANTIC_SIGNATURES[semantic]
+    modalities = [draw(st.sampled_from([want, *Modality])) for want in expected]
+    inputs = tuple(draw(_payloads(modality=m, qualities=_JOIN_QUALITIES)) for m in modalities)
+    return semantic, inputs
+
+
+def _run_inputs(semantic, inputs, constants) -> Payload | type:
+    try:
+        return apply_tool(semantic, inputs, constants)
+    except EngineError as exc:
+        return type(exc)
+
+
+@given(_tool_inputs(), st.lists(_SMALL_EXPRS, min_size=2, max_size=2), _CONSTANTS)
+def test_apply_tool_is_expr_equivariant(case, exprs, constants) -> None:
+    semantic, inputs = case
+    moved = tuple(
+        Payload(p.modality, e, p.language, p.corruptions, p.quality) for p, e in zip(inputs, exprs)
+    )
+    out, moved_out = _run_inputs(semantic, inputs, constants), _run_inputs(semantic, moved, constants)
+    if isinstance(out, type):
+        assert moved_out is out
+        return
+    assert (moved_out.modality, moved_out.language, moved_out.corruptions, moved_out.quality) == (
+        out.modality, out.language, out.corruptions, out.quality,
+    )
+    # An expr never equals an op wrapped around itself, so these two cases
+    # are told apart by the output on the first exprs.
+    if len(inputs) == 1 and out.expr == inputs[0].expr:
+        assert moved_out.expr == moved[0].expr
+    else:
+        op = out.expr[0]
+        assert out.expr == (op, *(p.expr for p in inputs))
+        assert moved_out.expr == (op, *(p.expr for p in moved))
+
+
+@given(_tool_inputs(), _CONSTANTS)
+def test_dynamics_table_entry_rebuilds_the_output(case, constants) -> None:
+    """A table entry, filled on quality-1.0 placeholder leaves, rebuilt
+    around the inputs' exprs and qualities is `apply_tool`'s output."""
+    semantic, inputs = case
+    table = _DynamicsTable(constants)
+    entry = table[semantic, tuple((p.modality, p.language, p.corruptions) for p in inputs)]
+    out = _run_inputs(semantic, inputs, constants)
+    if entry is None:
+        assert isinstance(out, type)
+        return
+    (modality, language, corruptions), factor, op = entry
+    if len(inputs) == 1:
+        quality = inputs[0].quality * factor
+        expr = inputs[0].expr if op is None else (op, inputs[0].expr)
+    else:
+        quality = (inputs[0].quality * inputs[1].quality) * factor
+        expr = (op, *(p.expr for p in inputs))
+    # Payload equality compares quality with ==: bit for bit.
+    assert out == Payload(modality, expr, language, corruptions, quality)
+
+
+def _wrapped(starts, ops):
+    """One start wrapped in each op in turn, or two starts joined by the
+    first op and then wrapped in the rest, as tool chains build exprs."""
+    if len(starts) == 1:
+        built, rest = starts[0], ops
+    else:
+        built, rest = (ops[0], *starts), ops[1:]
+    for op in rest:
+        built = (op, built)
+    return built
+
+
+@given(
+    st.lists(_SMALL_EXPRS, min_size=1, max_size=2),
+    st.lists(_LABEL, min_size=1, max_size=4),
+    _SMALL_EXPRS,
+    st.booleans(),
+)
+@example(["x0"], ["summ"], ("summ", "x0"), False)
+@example(["x0", "x0"], ["qa", "summ"], ("summ", ("qa", "x0", "x0")), False)
+@example([("summ", "x0")], ["summ", "summ"], ("summ", "x1"), False)
+@example(["x0", "x1"], ["qa", "qa"], "x0", True)
+def test_label_countdown_matches_structure_similarity(starts, ops, ref, same) -> None:
+    built = _wrapped(starts, ops)
+    if same:
+        ref = built
+    countdown = count_down(label_countdown(expr_labels(ref), *starts), ops)
+    assert countdown_structure(countdown) == structure_similarity(built, ref)
