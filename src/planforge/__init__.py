@@ -22,7 +22,6 @@ from .decoder import (
     DecoderConfig,
     SamplerConfig,
     beam_search,
-    decode,
     replay_steps,
     sample_plan,
 )

@@ -146,7 +146,8 @@ def category_space(category: TaskCategory, cfg: CatalogConfig) -> list[Combo]:
         lengths = {n for n in (3, 4) if n <= cfg.max_chain_length}
         combos = [((chain,), ()) for chain in _image_chains(lengths)]
     elif category is TaskCategory.IMAGE_TO_TEXT:
-        lengths = set(range(1, cfg.max_chain_length + 1))
+        # Duplicate-free image chains are at most len(IMAGE_CORRUPTIONS) long.
+        lengths = set(range(1, min(cfg.max_chain_length, len(IMAGE_CORRUPTIONS)) + 1))
         combos = [
             ((chain,), (terminal,))
             for chain in _image_chains(lengths)

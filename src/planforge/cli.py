@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from statistics import fmean
 
 from . import __version__
 from .benchgen import (
@@ -25,7 +26,7 @@ from .benchgen import (
     split_train_test,
 )
 from .config import EngineConfig, config_sha256, load_config
-from .decoder import decode
+from .decoder import beam_search
 from .errors import EngineError
 from .evalkit import comparison_to_csv, evaluate, report_to_json
 from .executor import execute_task, trace_record
@@ -153,7 +154,7 @@ def _cmd_plan(args, cfg: EngineConfig) -> int:
     policy = _load_policy(args)
     plans = {}
     for task in tasks:
-        ranked = decode(policy, task, registry, cfg.decoder)
+        ranked = beam_search(policy, task, registry, cfg.decoder)
         plans[task.id] = {
             "plan": plan_to_json(ranked[0].plan),
             "log_prob": ranked[0].log_prob,
@@ -187,7 +188,7 @@ def _cmd_exec(args, cfg: EngineConfig) -> int:
         "".join(json.dumps(record, sort_keys=True) + "\n" for record in records),
         encoding="utf-8",
     )
-    mean = sum(score for _, score in results) / len(results) if results else 0.0
+    mean = fmean(score for _, score in results)
     print(f"{task.id}: mean score {mean:.6f} over {len(results)} samples")
     return 0
 

@@ -41,7 +41,6 @@ from .plan_ir import (
     TaskInput,
     TaskSpec,
     plan_hash,
-    validate_plan,
 )
 from .registry import ToolRegistry, compatible_successors
 from .simkit import Modality
@@ -326,7 +325,8 @@ def beam_search(
     registry: ToolRegistry,
     cfg: DecoderConfig,
 ) -> list[DecodedPlan]:
-    """Rank complete valid plans by episode log-probability.
+    """Rank complete plans by episode log-probability; the one decode
+    entry point. Tasks must have one or two inputs.
 
     Live states at a step have distinct paths of equal length, so
     ``(-log_prob, path)`` orders their children totally, and a child's
@@ -334,10 +334,16 @@ def beam_search(
     ranks every (state, token) candidate first and builds only the
     ``beam_size`` survivors. An end token that completes a plan is
     built at once, since finished plans are never pruned.
+
+    Finished plans are well-formed by construction, and distinct paths
+    give distinct plans (each node's id and first input fix the token
+    that emitted it), so they are neither validated nor de-duplicated.
     """
+    arity = len(task.input_signature)
+    if arity not in (1, 2):
+        raise ValueError(f"tasks with {arity} inputs are not supported")
     live = [initial_state(task)]
-    # plan_hash -> best decoding of that plan
-    finished: dict[str, DecodedPlan] = {}
+    finished: list[tuple[str, DecodedPlan]] = []
 
     for _ in range(_step_cap(task, registry)):
         if not live:
@@ -355,10 +361,7 @@ def beam_search(
                 if token == END_TOKEN and sum(not b.consumed for b in state.branches) < 2:
                     child = apply_action(state, token, task, registry, lp_delta=delta)
                     plan = to_plan(child)
-                    key = plan_hash(plan)
-                    best = finished.get(key)
-                    if best is None or child.log_prob > best.log_prob:
-                        finished[key] = DecodedPlan(plan, child.log_prob)
+                    finished.append((plan_hash(plan), DecodedPlan(plan, child.log_prob)))
                 else:
                     # Parent paths have equal length, so (path, token)
                     # sorts like the child's path + (token,).
@@ -369,27 +372,10 @@ def beam_search(
             for _, _, token, state, delta in candidates[: cfg.beam_size]
         ]
 
-    ranked = [
-        (key, dp)
-        for key, dp in finished.items()
-        if validate_plan(dp.plan, registry, task.input_signature, task.output_modality).ok
-    ]
-    if not ranked:
+    if not finished:
         raise NoFeasiblePlan(f"beam found no valid plan for {task.id}")
-    ranked.sort(key=lambda item: (-item[1].log_prob, item[0]))
-    return [dp for _, dp in ranked]
-
-
-def decode(
-    policy: Policy,
-    task: TaskSpec,
-    registry: ToolRegistry,
-    cfg: DecoderConfig,
-) -> list[DecodedPlan]:
-    arity = len(task.input_signature)
-    if arity not in (1, 2):
-        raise ValueError(f"tasks with {arity} inputs are not supported")
-    return beam_search(policy, task, registry, cfg)
+    finished.sort(key=lambda item: (-item[1].log_prob, item[0]))
+    return [dp for _, dp in finished]
 
 
 def _filtered_distribution(
@@ -442,6 +428,10 @@ def _draw(
     return mixture[-1][0]
 
 
+# Episodes `sample_plan` starts before it gives up on a task.
+SAMPLE_RETRIES = 50
+
+
 def sample_plan(
     policy: Policy,
     task: TaskSpec,
@@ -449,29 +439,23 @@ def sample_plan(
     cfg: SamplerConfig,
     rng: random.Random,
     epsilon: float = 0.0,
-    max_retries: int = 50,
 ) -> PlanGraph:
     """Sample one complete plan; dead-end episodes are retried."""
-    for _ in range(max_retries):
+    for _ in range(SAMPLE_RETRIES):
         state = initial_state(task)
-        dead = False
         for _ in range(_step_cap(task, registry)):
             if state.done:
                 break
             frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
             if frontier is None:
-                dead = True
                 break
             scores = policy.score_step(
                 frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
             )
             token = _draw(scores, frontier.actions, cfg, rng, epsilon)
             state = apply_action(state, token, task, registry, lp_delta=scores[token])
-        if dead or not state.done:
-            continue
-        plan = to_plan(state)
-        if validate_plan(plan, registry, task.input_signature, task.output_modality).ok:
-            return plan
+        if state.done:
+            return to_plan(state)
     raise NoFeasiblePlan(f"sampling kept dead-ending on {task.id}")
 
 

@@ -46,6 +46,10 @@ class LanguageGuard(EngineError):
     """Machine translation invoked on non-English text."""
 
 
+class QualityUnderflow(EngineError):
+    """A tool's output quality underflowed to 0.0."""
+
+
 class UnknownTool(EngineError):
     """A plan or sequence referenced a tool name not in the registry."""
 

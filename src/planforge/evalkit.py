@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from statistics import fmean
 
-from .decoder import DecoderConfig, Policy, decode
+from .decoder import DecoderConfig, Policy, beam_search
 from .errors import NoFeasiblePlan
 from .executor import execute_task
 from .plan_ir import MetricSlot, TaskSpec
@@ -69,7 +69,7 @@ def evaluate(
     by_slot: dict[MetricSlot, list[float]] = {slot: [] for slot in MetricSlot}
     for task in tasks:
         try:
-            ranked = decode(policy, task, registry, cfg)
+            ranked = beam_search(policy, task, registry, cfg)
             reward = task_reward(ranked[0].plan, task, registry, constants)
         except NoFeasiblePlan:
             reward = 0.0

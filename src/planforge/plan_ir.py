@@ -389,12 +389,15 @@ def task_to_json(task: TaskSpec) -> dict:
 
 
 def task_from_json(doc: dict) -> TaskSpec:
-    """A task from its document; a task with no samples is malformed,
-    since the oracle and every score read its samples."""
+    """A task from its document. A task with no samples is malformed,
+    since the oracle and every score read its samples. So is one with
+    other than one or two inputs, or with corruption chains or sample
+    inputs that do not match its input signature, since the decoder and
+    the oracle walk one branch per input."""
     with reading("task"):
         if not doc["dataset"]:
             raise ValueError("dataset is empty")
-        return TaskSpec(
+        task = TaskSpec(
             id=doc["id"],
             description=doc["description"],
             category=TaskCategory(doc["category"]),
@@ -407,3 +410,12 @@ def task_from_json(doc: dict) -> TaskSpec:
             metric_slot=MetricSlot(doc["metric_slot"]),
             dataset=tuple(sample_from_json(s) for s in doc["dataset"]),
         )
+        arity = len(task.input_signature)
+        if arity not in (1, 2):
+            raise ValueError(f"input_signature has {arity} entries, tasks take 1 or 2")
+        if len(task.corruption_chains) != arity:
+            raise ValueError(f"{len(task.corruption_chains)} corruption_chains for {arity} inputs")
+        for sample in task.dataset:
+            if tuple(p.modality for p in sample.inputs) != task.input_signature:
+                raise ValueError("sample inputs do not match input_signature")
+        return task

@@ -32,6 +32,7 @@ from .errors import (
     IllegalTranslate,
     LanguageGuard,
     ModalityMismatch,
+    QualityUnderflow,
 )
 
 
@@ -240,6 +241,14 @@ def _check_inputs(semantic: SemanticId, inputs: tuple[Payload, ...]) -> None:
             )
 
 
+def _output_quality(quality: float) -> float:
+    """An output quality, a product of qualities and factors in (0, 1]:
+    positive unless the product underflowed, which raises."""
+    if quality == 0.0:
+        raise QualityUnderflow("output quality underflows to 0.0")
+    return quality
+
+
 def _restore(payload: Payload, target: Corruption, constants: SimConstants) -> Payload:
     stack = payload.corruptions
     quality = payload.quality
@@ -254,7 +263,9 @@ def _restore(payload: Payload, target: Corruption, constants: SimConstants) -> P
     else:
         # Nothing to fix. The tool still ran and degraded the content a bit.
         quality *= constants.gamma
-    return Payload(payload.modality, payload.expr, payload.language, stack, quality)
+    return Payload(
+        payload.modality, payload.expr, payload.language, stack, _output_quality(quality)
+    )
 
 
 def _transform_language(semantic: SemanticId, inputs: tuple[Payload, ...]) -> Language:
@@ -290,7 +301,8 @@ def apply_tool(
     ``c`` depends only on the inputs' shapes (``c`` is 1.0 where quality
     passes through). So the output at any input qualities is the output
     at quality 1.0, whose quality is ``c``, with the inputs' qualities
-    multiplied in; errors ignore quality too.
+    multiplied in. Errors ignore quality too, except `QualityUnderflow`,
+    raised when the output quality underflows to 0.0.
     """
     _check_inputs(semantic, inputs)
 
@@ -312,7 +324,7 @@ def apply_tool(
             expr=(TRANSLATE_OP, payload.expr),
             language=Language.DE,
             corruptions=(),
-            quality=payload.quality * constants.gamma ** len(stack),
+            quality=_output_quality(payload.quality * constants.gamma ** len(stack)),
         )
 
     # Generic transform: wrap the exprs, combine qualities, pay gamma for
@@ -329,7 +341,7 @@ def apply_tool(
         expr=(op,) + tuple(p.expr for p in inputs),
         language=_transform_language(semantic, inputs),
         corruptions=(),
-        quality=quality * constants.gamma**residuals,
+        quality=_output_quality(quality * constants.gamma**residuals),
     )
 
 
@@ -388,7 +400,7 @@ def countdown_structure(countdown: Countdown) -> float:
     return inter / union if union else 0.0
 
 
-def structure_similarity(out: Expr, ref: Expr, ref_labels: Counter | None = None) -> float:
+def structure_similarity(out: Expr, ref: Expr) -> float:
     """Structure term of `similarity`: 1.0 on identical exprs, multiset
     Jaccard over node labels otherwise.
 
@@ -398,15 +410,10 @@ def structure_similarity(out: Expr, ref: Expr, ref_labels: Counter | None = None
     ``max + min = a + b``, so these are exactly the integers
     ``sum(min)`` and ``sum(max)`` over the two label multisets. On
     identical exprs the two are equal, so the countdown also gives 1.0.
-
-    ``ref_labels`` is ``expr_labels(ref)``, for a caller that has
-    already computed it.
     """
     if out == ref:
         return 1.0
-    if ref_labels is None:
-        ref_labels = expr_labels(ref)
-    return countdown_structure(label_countdown(ref_labels, out))
+    return countdown_structure(label_countdown(expr_labels(ref), out))
 
 
 def language_term(language: Language, ref_language: Language, constants: SimConstants) -> float:

@@ -34,7 +34,6 @@ from planforge.decoder import (
     allowed_tokens,
     apply_action,
     beam_search,
-    decode,
     initial_state,
     replay_steps,
     sample_plan,
@@ -131,7 +130,7 @@ def test_criterion_1_decoder_soundness(catalog, registry) -> None:
         )
         try:
             if i % 2 == 0:
-                plans = [dp.plan for dp in decode(policy, task, registry, cfg)]
+                plans = [dp.plan for dp in beam_search(policy, task, registry, cfg)]
             else:
                 plans = [sample_plan(policy, task, registry, sampler, random.Random(i))]
         except NoFeasiblePlan:
@@ -265,7 +264,7 @@ def _ten_plans(catalog, registry):
     doubles = [t for t in catalog if len(t.input_signature) == 2][:3]
     plans = []
     for i, task in enumerate(singles + doubles):
-        plan = decode(_SeededPolicy(i), task, registry, DecoderConfig(beam_size=4))[0].plan
+        plan = beam_search(_SeededPolicy(i), task, registry, DecoderConfig(beam_size=4))[0].plan
         plans.append((task, plan))
     return plans
 
@@ -415,7 +414,7 @@ def test_criterion_11_executor_determinism(catalog, registry) -> None:
     doubles = [t for t in catalog if len(t.input_signature) == 2][:20]
     diffs = 0
     for task in doubles:
-        plan = decode(UniformPolicy(), task, registry, DecoderConfig())[0].plan
+        plan = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0].plan
         assert is_nonlinear(plan)
         baseline = [
             (payload_to_json(execute(plan, s.inputs, registry).final), similarity(execute(plan, s.inputs, registry).final, s.reference))

@@ -66,6 +66,12 @@ def test_category_space_sizes_are_stable() -> None:
         assert len(set(combos)) == size
 
 
+def test_category_space_stops_at_duplicate_free_image_chains() -> None:
+    huge, four = CatalogConfig(max_chain_length=10**9), CatalogConfig(max_chain_length=4)
+    for category in TaskCategory:
+        assert category_space(category, huge) == category_space(category, four)
+
+
 def test_descriptions_follow_the_templates() -> None:
     assert describe(TaskCategory.IMAGE_TO_IMAGE, ((C.GRAY, C.BLUR, C.NOISE),), ()) == (
         "Given a grayscale blurry noisy image, how to return the regular image step by step?"

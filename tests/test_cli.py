@@ -203,6 +203,37 @@ def _with_quality(catalog: list, quality) -> list:
     return catalog
 
 
+def _task(catalog: list, task_id: str) -> dict:
+    return next(task for task in catalog if task["id"] == task_id)
+
+
+def _three_inputs(catalog: list) -> list:
+    """ii-000 with three image inputs, corruption chains and sample inputs."""
+    task = _task(catalog, "ii-000")
+    task["input_signature"] *= 3
+    task["corruption_chains"] *= 3
+    for sample in task["dataset"]:
+        sample["inputs"] *= 3
+    return catalog
+
+
+def _no_chains(catalog: list) -> list:
+    _task(catalog, "ii-000")["corruption_chains"] = []
+    return catalog
+
+
+def _one_itt_input(catalog: list) -> list:
+    sample = _task(catalog, "itt-000")["dataset"][0]
+    sample["inputs"] = sample["inputs"][:1]
+    return catalog
+
+
+def _text_ii_input(catalog: list) -> list:
+    text = {"corruptions": [], "expr": "x0", "language": "en", "modality": "Text", "quality": 1.0}
+    _task(catalog, "ii-000")["dataset"][0]["inputs"] = [text]
+    return catalog
+
+
 def _checkpoint(version=1, token="x", value=1.0, **context) -> dict:
     """A one-entry checkpoint that loads, with the given parts swapped in."""
     fields = {"task_category": "image_to_image", "prev_tool": "*", "branch_modality": "Image", "hint": "end"}
@@ -246,6 +277,12 @@ MALFORMED_DOCUMENTS = [
     ("eval", "--checkpoint", "checkpoint", _checkpoint(version="1")),
     ("eval", "--catalog", "task", lambda catalog: [{**catalog[0], "dataset": []}] + catalog[1:]),
     ("oracle", "--catalog", "task", lambda catalog: [{**catalog[0], "dataset": []}] + catalog[1:]),
+    ("eval", "--catalog", "task", _three_inputs),
+    ("oracle", "--catalog", "task", _three_inputs),
+    ("eval", "--catalog", "task", _no_chains),
+    ("oracle", "--catalog", "task", _no_chains),
+    ("eval", "--catalog", "task", _one_itt_input),
+    ("eval", "--catalog", "task", _text_ii_input),
 ]
 
 
@@ -273,6 +310,26 @@ def test_malformed_document_is_a_one_line_error(ws, tmp_path, capsys, command, f
     assert error["type"] == "MalformedDocument"
     assert error["message"].startswith(f"malformed {what}: ")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "eval"])
+def test_quality_underflow_scores_zero(ws, tmp_path, command) -> None:
+    # Every plan for a text-text-to-text task joins its two inputs, and
+    # 1e-200 * 1e-200 underflows to 0.0.
+    catalog = json.loads(ws["catalog"].read_text())
+    for sample in _task(catalog, "ttt-000")["dataset"]:
+        for payload in sample["inputs"]:
+            payload["quality"] = 1e-200
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog))
+    out = tmp_path / "x"
+    argv = ws["base"][:2] + ["--out", str(out), command, "--catalog", str(path)]
+    assert main(argv + ["--task", "ttt-000"]) == 0
+    if command == "oracle":
+        assert (out / "oracle.csv").read_text().splitlines()[-1].split(",")[2] == "0.000000"
+    else:
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report["per_task"] == [{"task_id": "ttt-000", "reward": 0.0}]
 
 
 def test_checkpoint_cases_start_from_a_loadable_checkpoint(ws, tmp_path) -> None:

@@ -25,7 +25,6 @@ from planforge.decoder import (
     allowed_tokens,
     apply_action,
     beam_search,
-    decode,
     initial_state,
     replay_steps,
     sample_plan,
@@ -181,15 +180,15 @@ def test_guided_beam_recovers_nonlinear_gold(catalog, registry) -> None:
         task, registry, required_oracle_depth(task), replayable_only=True
     ).best_plan
     assert is_nonlinear(gold)
-    top = decode(GuidedPlanPolicy(gold, registry), task, registry, DecoderConfig())[0]
+    top = beam_search(GuidedPlanPolicy(gold, registry), task, registry, DecoderConfig())[0]
     assert plan_hash(top.plan) == plan_hash(gold)
 
 
 def test_decode_dispatches_on_input_count(catalog, registry) -> None:
     single = next(t for t in catalog if len(t.input_signature) == 1)
     double = next(t for t in catalog if len(t.input_signature) == 2)
-    assert decode(UniformPolicy(), single, registry, DecoderConfig())
-    assert decode(UniformPolicy(), double, registry, DecoderConfig())
+    assert beam_search(UniformPolicy(), single, registry, DecoderConfig())
+    assert beam_search(UniformPolicy(), double, registry, DecoderConfig())
     triple = TaskSpec(
         id="bad",
         description="three inputs",
@@ -202,12 +201,12 @@ def test_decode_dispatches_on_input_count(catalog, registry) -> None:
         dataset=(),
     )
     with pytest.raises(ValueError):
-        decode(UniformPolicy(), triple, registry, DecoderConfig())
+        beam_search(UniformPolicy(), triple, registry, DecoderConfig())
 
 
 def test_replay_reproduces_decoded_plan(catalog, registry) -> None:
     for task in list(catalog)[:3] + [next(t for t in catalog if len(t.input_signature) == 2)]:
-        top = decode(UniformPolicy(), task, registry, DecoderConfig())[0]
+        top = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0]
         steps = replay_steps(top.plan, task, registry)
         state = initial_state(task)
         for step in steps:
@@ -432,7 +431,8 @@ def test_beam_golden_top_plans() -> None:
     rows = []
     for task in catalog:
         for beam_size in (4, 30):
-            results = decode(UniformPolicy(), task, _REGISTRY, DecoderConfig(beam_size=beam_size))
+            cfg = DecoderConfig(beam_size=beam_size)
+            results = beam_search(UniformPolicy(), task, _REGISTRY, cfg)
             rows.append(
                 (task.id, beam_size, len(results), [plan_hash(dp.plan)[:12] for dp in results[:3]])
             )
@@ -484,8 +484,9 @@ def test_sampled_plans_replay_to_themselves(case) -> None:
 def test_beam_and_sampler_return_only_valid_plans(beam_case, sample_case) -> None:
     """Every plan the walkers hand out passes validate_plan.
 
-    Both walkers filter with validate_plan today; this is the invariant
-    that moving validation to the plan-file boundaries would rest on.
+    Neither walker validates its plans: they rest on the state machine
+    completing only well-formed plans, and validation happens where a
+    plan file comes in (``exec --plan``).
     """
     category, chains, builder, beam_size, table_seed = beam_case
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
@@ -506,3 +507,46 @@ def test_beam_and_sampler_return_only_valid_plans(beam_case, sample_case) -> Non
 
     for task, plan in found:
         assert validate_plan(plan, _REGISTRY, task.input_signature, task.output_modality).ok
+
+
+@st.composite
+def _walk_tasks(draw):
+    category = draw(st.sampled_from(list(TaskCategory)))
+    chains, builder = draw(st.sampled_from(_SPACES[category]))
+    return build_task("x-000", category, chains, builder, samples_per_task=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_walk_tasks(), st.data())
+def test_random_legal_walks_complete_only_valid_plans(task, data) -> None:
+    """Any walk of legal actions that completes gives a valid plan, at
+    every per-branch tool cap: the invariant that lets `beam_search`
+    and `sample_plan` hand out `to_plan` of a completed state unchecked.
+    """
+    for cap in range(1, len(_REGISTRY) + 1):
+        state = initial_state(task)
+        while (frontier := step_frontier(state, task, _REGISTRY, cap)) is not None:
+            token = data.draw(st.sampled_from(frontier.actions))
+            state = apply_action(state, token, task, _REGISTRY)
+        if state.done:
+            plan = to_plan(state)
+            assert validate_plan(plan, _REGISTRY, task.input_signature, task.output_modality).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(_beam_cases())
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK,), (C.MASK,)), (S.QA,), 8, 7))
+@example((TaskCategory.IMAGE_TO_IMAGE, ((C.GRAY, C.BLUR, C.NOISE),), (), 1, None))
+def test_beam_search_returns_distinct_plans(case) -> None:
+    """Live states have distinct paths, and distinct paths give distinct
+    plans (a node's id and first input fix the token that emitted it),
+    so the beam hands out no plan twice without de-duplicating."""
+    category, chains, builder, beam_size, table_seed = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    policy = _case_policy(table_seed)
+    try:
+        decoded = beam_search(policy, task, _REGISTRY, DecoderConfig(beam_size=beam_size))
+    except NoFeasiblePlan:
+        return
+    hashes = [plan_hash(dp.plan) for dp in decoded]
+    assert len(set(hashes)) == len(hashes)

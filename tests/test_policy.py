@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from planforge.benchgen import oracle_best_plan, required_oracle_depth
 from planforge.context import Context, context_levels, context_to_json
-from planforge.decoder import DecoderConfig, StepView, decode, initial_state, replay_steps
+from planforge.decoder import DecoderConfig, StepView, beam_search, initial_state, replay_steps
 from planforge.errors import EmptyAllowedSet, EngineError, PeerProtocolError
 from planforge.policy import (
     GuidedPlanPolicy,
@@ -59,7 +59,7 @@ def test_effective_logit_sums_levels() -> None:
 def test_log_prob_matches_uniform_replay(catalog, registry) -> None:
     params = PolicyParams()
     for task in list(catalog)[:4]:
-        top = decode(UniformPolicy(), task, registry, DecoderConfig())[0]
+        top = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0]
         lp = log_prob(params, top.plan, task, registry)
         steps = replay_steps(top.plan, task, registry)
         assert math.isclose(lp, sum(-math.log(len(s.actions)) for s in steps))
@@ -80,7 +80,7 @@ def test_grad_matches_finite_differences(catalog, registry) -> None:
     h = 1e-5
     tasks = list(catalog)[:3] + [next(t for t in catalog if len(t.input_signature) == 2)]
     for task in tasks:
-        plan = decode(UniformPolicy(), task, registry, DecoderConfig())[0].plan
+        plan = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0].plan
         for _ in range(3):
             params = _random_params_for(plan, task, registry, rng)
             grad = grad_log_prob(params, plan, task, registry)
@@ -100,7 +100,7 @@ def test_grad_matches_finite_differences(catalog, registry) -> None:
 def test_step_gradients_sum_to_zero(catalog, registry) -> None:
     rng = random.Random(5)
     task = list(catalog)[0]
-    plan = decode(UniformPolicy(), task, registry, DecoderConfig())[0].plan
+    plan = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0].plan
     params = _random_params_for(plan, task, registry, rng)
     for step in replay_steps(plan, task, registry):
         probs = score_tokens(params, step.context, step.actions)
@@ -113,7 +113,7 @@ def test_step_gradients_sum_to_zero(catalog, registry) -> None:
 def test_grad_aggregates_per_step_terms(catalog, registry) -> None:
     rng = random.Random(6)
     task = list(catalog)[1]
-    plan = decode(UniformPolicy(), task, registry, DecoderConfig())[0].plan
+    plan = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0].plan
     params = _random_params_for(plan, task, registry, rng)
     manual: dict = {}
     for step in replay_steps(plan, task, registry):
@@ -153,7 +153,7 @@ def test_pretraining_raises_gold_likelihood(catalog, registry) -> None:
     assert after > before
     greedy = TabularPolicy(trained)
     for task, gold in labeled:
-        top = decode(greedy, task, registry, DecoderConfig())[0]
+        top = beam_search(greedy, task, registry, DecoderConfig())[0]
         assert tuple(n.tool for n in top.plan.nodes) == tuple(n.tool for n in gold.nodes)
 
 
@@ -214,7 +214,7 @@ def test_remote_policy_round_trips_scores(catalog, registry) -> None:
     try:
         remote = RemotePolicy(client_io)
         task = list(catalog)[0]
-        plans = decode(remote, task, registry, DecoderConfig(beam_size=3))
+        plans = beam_search(remote, task, registry, DecoderConfig(beam_size=3))
         assert plans
         # Longest action name wins every step under the peer's scoring.
         scores = remote.score_step(CTX, ["ab", "c"], None)
