@@ -57,6 +57,8 @@ class DecoderConfig:
     def __post_init__(self) -> None:
         if self.beam_size < 1:
             raise ValueError("beam_size must be positive")
+        if self.max_tools_per_branch < 1:
+            raise ValueError("max_tools_per_branch must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,6 +71,8 @@ class SamplerConfig:
     top_p: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.max_tools_per_branch < 1:
+            raise ValueError("max_tools_per_branch must be positive")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.top_k < 0:
@@ -210,15 +214,9 @@ def step_frontier(
         elif unconsumed >= 2 and _partner_index(state, acting, spec.inputs[1]) is not None:
             tools.append(spec.name)
 
-    end_ok = False
     if unconsumed >= 2:
         # Parking only helps if some future join could take this head.
-        end_ok = any(
-            len(spec.inputs) == 2
-            and spec.name not in state.used
-            and spec.inputs[1] is branch.modality
-            for spec in registry
-        )
+        end_ok = any(name not in state.used for name in registry.joins_into(branch.modality))
     else:
         # Branch i reads task input i with its first tool or as a join's head.
         end_ok = branch.modality is task.output_modality and all(
@@ -356,9 +354,11 @@ def beam_search(
             scores = policy.score_step(
                 frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
             )
+            # With one unconsumed branch left, the end token completes the plan.
+            end_completes = sum(not b.consumed for b in state.branches) < 2
             for token in frontier.actions:
                 delta = scores[token]
-                if token == END_TOKEN and sum(not b.consumed for b in state.branches) < 2:
+                if token == END_TOKEN and end_completes:
                     child = apply_action(state, token, task, registry, lp_delta=delta)
                     plan = to_plan(child)
                     finished.append((plan_hash(plan), DecodedPlan(plan, child.log_prob)))

@@ -10,9 +10,9 @@ samples to execute against.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 from .errors import ArityNotOne, CycleDetected, ModalityBreak, UnknownTool, reading
 from .registry import ToolRegistry
@@ -118,8 +118,26 @@ def plan_from_json(doc: dict) -> PlanGraph:
         )
 
 
+def _ref_canon(ref: InputRef) -> str:
+    if isinstance(ref, TaskInput):
+        return f'{{"task":{ref.index}}}'
+    return f'{{"node":{ref.node}}}'
+
+
 def plan_hash(plan: PlanGraph) -> str:
-    canon = json.dumps(plan_to_json(plan), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the plan's canonical JSON: `plan_to_json` with sorted keys
+    and no spaces, ``{"nodes":[{"id":..,"inputs":[..],"tool":..}],"output":..}``.
+
+    The string is formatted directly rather than through `json.dumps` of
+    the document. Ids are ints, and tool names go through the string
+    encoder `json.dumps` itself uses, so the bytes are the same.
+    """
+    nodes = ",".join(
+        f'{{"id":{node.id},"inputs":[{",".join(map(_ref_canon, node.input_refs))}],'
+        f'"tool":{encode_basestring_ascii(node.tool)}}}'
+        for node in plan.nodes
+    )
+    canon = f'{{"nodes":[{nodes}],"output":{plan.output_node}}}'
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

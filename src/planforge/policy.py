@@ -176,13 +176,25 @@ def params_from_json(doc: dict) -> PolicyParams:
 
 
 class TabularPolicy:
+    """Scores steps from a parameter table, memoised per (context, actions).
+
+    The scores never depend on the view, so each distinct step is scored
+    once. The params must not change while the policy is in use, and the
+    returned score dicts are shared between calls: treat them as read-only.
+    """
+
     def __init__(self, params: PolicyParams) -> None:
         self.params = params
+        self._memo: dict[tuple[Context, tuple[str, ...]], dict[str, float]] = {}
 
     def score_step(
         self, ctx: Context, actions: Sequence[str], view: StepView
     ) -> dict[str, float]:
-        return score_tokens(self.params, ctx, actions)
+        key = (ctx, tuple(actions))
+        scores = self._memo.get(key)
+        if scores is None:
+            scores = self._memo[key] = score_tokens(self.params, ctx, actions)
+        return scores
 
 
 class UniformPolicy:

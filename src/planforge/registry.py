@@ -36,6 +36,12 @@ class ToolSpec:
 class ToolRegistry:
     tools: tuple[ToolSpec, ...] = ()
     _by_name: dict[str, ToolSpec] = field(init=False, repr=False, compare=False)
+    # Per modality, in registry order: the tools whose first slot takes it,
+    # and the names of the two-input tools whose second slot takes it.
+    _first_slot: dict[Modality, tuple[ToolSpec, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _second_slot: dict[Modality, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_name: dict[str, ToolSpec] = {}
@@ -44,6 +50,17 @@ class ToolRegistry:
                 raise DuplicateName(f"tool registered twice: {spec.name}")
             by_name[spec.name] = spec
         object.__setattr__(self, "_by_name", by_name)
+        first_slot = {
+            m: tuple(spec for spec in self.tools if spec.inputs[0] is m) for m in Modality
+        }
+        second_slot = {
+            m: tuple(
+                spec.name for spec in self.tools if len(spec.inputs) == 2 and spec.inputs[1] is m
+            )
+            for m in Modality
+        }
+        object.__setattr__(self, "_first_slot", first_slot)
+        object.__setattr__(self, "_second_slot", second_slot)
 
     def __iter__(self):
         return iter(self.tools)
@@ -62,6 +79,10 @@ class ToolRegistry:
 
     def names(self) -> tuple[str, ...]:
         return tuple(spec.name for spec in self.tools)
+
+    def joins_into(self, modality: Modality) -> tuple[str, ...]:
+        """Names of the two-input tools whose second slot takes the modality."""
+        return self._second_slot[modality]
 
 
 def register_tool(registry: ToolRegistry, spec: ToolSpec) -> ToolRegistry:
@@ -106,11 +127,7 @@ def compatible_successors(
     Order follows the registry. Second slots of two-input tools do not
     count here; they are only reachable through joins.
     """
-    return tuple(
-        spec
-        for spec in registry
-        if spec.name not in used and spec.inputs[0] is modality
-    )
+    return tuple(spec for spec in registry._first_slot[modality] if spec.name not in used)
 
 
 def registry_to_json(registry: ToolRegistry) -> list[dict]:

@@ -122,11 +122,11 @@ def train(
         epoch_rewards: list[float] = []
         for task, memo in zip(tasks, memos):
             batch: list[tuple[list[ReplayStep], float]] = []
+            # `current` changes only after the batch, so its rollouts share one score memo.
+            policy = TabularPolicy(current)
             for _ in range(cfg.rollouts_per_task):
                 try:
-                    plan = sample_plan(
-                        TabularPolicy(current), task, registry, cfg.sampling, rng, epsilon
-                    )
+                    plan = sample_plan(policy, task, registry, cfg.sampling, rng, epsilon)
                 except NoFeasiblePlan:
                     continue
                 if plan not in memo:

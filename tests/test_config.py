@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from planforge.cli import main
 from planforge.config import (
     EngineConfig,
     config_from_json,
@@ -183,3 +184,38 @@ def test_config_sha_tracks_content() -> None:
     assert config_sha256(base) == config_sha256(EngineConfig())
     changed = config_from_json({"decoder": {"beam_size": 2}})
     assert config_sha256(changed) != config_sha256(base)
+
+
+@pytest.mark.parametrize(
+    "doc, section",
+    [
+        ({"decoder": {"max_tools_per_branch": 0}}, "decoder"),
+        ({"decoder": {"max_tools_per_branch": -1}}, "decoder"),
+        ({"train": {"sampling": {"max_tools_per_branch": 0}}}, "train.sampling"),
+        ({"train": {"sampling": {"max_tools_per_branch": -1}}}, "train.sampling"),
+    ],
+)
+def test_tool_cap_below_one_is_a_config_error(doc, section) -> None:
+    with pytest.raises(
+        ConfigError, match=rf"^bad value in {section}: max_tools_per_branch must be positive$"
+    ):
+        config_from_json(doc)
+
+
+def test_tool_cap_of_one_is_accepted() -> None:
+    cfg = config_from_json({
+        "decoder": {"max_tools_per_branch": 1},
+        "train": {"sampling": {"max_tools_per_branch": 1}},
+    })
+    assert cfg.decoder.max_tools_per_branch == cfg.train.sampling.max_tools_per_branch == 1
+
+
+def test_tool_cap_below_one_exits_1_with_one_line(tmp_path, capsys) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"decoder": {"max_tools_per_branch": -1}}))
+    assert main(["--config", str(config), "--out", str(tmp_path / "x"), "gen"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == "bad value in decoder: max_tools_per_branch must be positive"

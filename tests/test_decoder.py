@@ -42,7 +42,13 @@ from planforge.plan_ir import (
     validate_plan,
 )
 from planforge.plan_ir import MetricSlot
-from planforge.policy import GuidedPlanPolicy, PolicyParams, TabularPolicy, UniformPolicy
+from planforge.policy import (
+    GuidedPlanPolicy,
+    PolicyParams,
+    TabularPolicy,
+    UniformPolicy,
+    score_tokens,
+)
 from planforge.registry import ToolRegistry, ToolSpec, default_registry
 from planforge.simkit import Corruption, Modality, SemanticId
 
@@ -550,3 +556,57 @@ def test_beam_search_returns_distinct_plans(case) -> None:
         return
     hashes = [plan_hash(dp.plan) for dp in decoded]
     assert len(set(hashes)) == len(hashes)
+
+
+class _UnmemoisedPolicy:
+    """TabularPolicy without its score memo: every step is scored afresh."""
+
+    def __init__(self, params: PolicyParams) -> None:
+        self.params = params
+
+    def score_step(self, ctx, actions, view):
+        return score_tokens(self.params, ctx, actions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_beam_cases(), _sample_cases())
+@example(
+    (TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK,), (C.MASK,)), (S.QA,), 8, 7),
+    (TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), 3, 0.3, 6, 0),
+)
+def test_score_memo_changes_no_decode(beam_case, sample_case) -> None:
+    """The memoised TabularPolicy decodes exactly as a policy that scores every step.
+
+    One policy object serves the whole beam search and then several
+    sampled episodes, so later calls read scores the earlier ones stored.
+    """
+    category, chains, builder, beam_size, table_seed = beam_case
+    params = PolicyParams(_RandomTable(table_seed or 0))
+    memoised, fresh = TabularPolicy(params), _UnmemoisedPolicy(params)
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    cfg = DecoderConfig(beam_size=beam_size)
+    outcomes = []
+    for policy in (memoised, fresh):
+        try:
+            outcomes.append(
+                [(dp.plan, dp.log_prob) for dp in beam_search(policy, task, _REGISTRY, cfg)]
+            )
+        except NoFeasiblePlan:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+
+    # Both walkers read the one table above, so the sample case's own seed is unused.
+    category, chains, builder, _, epsilon, max_tools, rng_seed = sample_case
+    task = build_task("x-001", category, chains, builder, samples_per_task=1)
+    cfg = SamplerConfig(max_tools_per_branch=max_tools)
+    outcomes = []
+    for policy in (memoised, fresh):
+        rng = random.Random(rng_seed)
+        plans = []
+        for _ in range(3):
+            try:
+                plans.append(sample_plan(policy, task, _REGISTRY, cfg, rng, epsilon))
+            except NoFeasiblePlan:
+                plans.append(None)
+        outcomes.append(plans)
+    assert outcomes[0] == outcomes[1]

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from planforge.errors import ArityNotOne, CycleDetected, ModalityBreak, UnknownTool
 from planforge.plan_ir import (
@@ -214,3 +218,36 @@ def test_validate_never_raises_on_fuzzed_plans(registry) -> None:
         plan = PlanGraph(tuple(nodes), output_node=rng.randint(-1, n))
         report = validate_plan(plan, registry, (I, T), T)
         assert isinstance(report.ok, bool)
+
+
+def _reference_plan_hash(plan: PlanGraph) -> str:
+    """plan_hash as first written: json.dumps of the plan document."""
+    canon = json.dumps(plan_to_json(plan), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+_ids = st.integers(min_value=-(2**40), max_value=2**40)
+_tool_names = st.one_of(
+    st.text(),
+    st.sampled_from(
+        ['Say "hi"', "back\\slash", "Übersetzung", "翻訳", "tab\tnew\nline", "\x00", "😀"]
+    ),
+)
+_refs = st.one_of(st.builds(TaskInput, _ids), st.builds(NodeOutput, _ids))
+_nodes = st.builds(PlanNode, _ids, _tool_names, st.lists(_refs, min_size=1, max_size=2).map(tuple))
+_plans = st.builds(PlanGraph, st.lists(_nodes, max_size=6).map(tuple), _ids)
+
+
+@given(_plans)
+@example(_vqa_plan())
+@example(PlanGraph((PlanNode(0, 'A "quoted" \\ é name', (TaskInput(0),)),), 0))
+def test_plan_hash_matches_json_dumps(plan) -> None:
+    """The directly formatted canonical string is byte-for-byte json.dumps."""
+    assert plan_hash(plan) == _reference_plan_hash(plan)
+
+
+def test_plan_hash_golden_digest() -> None:
+    """The value trace.jsonl publishes and the beam breaks ties with."""
+    assert plan_hash(_vqa_plan()) == (
+        "431992fb92c9a0db297b7fcdc8917531759b01d505069bf4385d2f076fdfdc47"
+    )

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from planforge.benchgen import build_task
+from planforge.context import END_TOKEN
+from planforge.decoder import initial_state, step_frontier
 from planforge.errors import BadArity, DuplicateName, SemanticMismatch
+from planforge.plan_ir import TaskCategory
 from planforge.registry import (
+    ToolRegistry,
     ToolSpec,
     compatible_successors,
     default_registry,
@@ -13,7 +20,7 @@ from planforge.registry import (
     registry_from_json,
     registry_to_json,
 )
-from planforge.simkit import Modality, SemanticId
+from planforge.simkit import SEMANTIC_SIGNATURES, Modality, SemanticId
 
 REG = default_registry()
 
@@ -92,3 +99,46 @@ def test_registry_json_round_trip() -> None:
     back = registry_from_json(doc)
     assert back.names() == REG.names()
     assert [t.semantic for t in back] == [t.semantic for t in REG]
+
+
+_SPECS = [
+    ToolSpec(f"{semantic.value} {i}", *SEMANTIC_SIGNATURES[semantic], semantic)
+    for semantic in SemanticId
+    for i in range(2)
+]
+
+
+@st.composite
+def _registries_and_used(draw):
+    """A register_tool chain over a random pick of specs, and a random used set."""
+    specs = draw(st.lists(st.sampled_from(_SPECS), unique=True, max_size=len(_SPECS)))
+    registry = ToolRegistry()
+    for spec in specs:
+        registry = register_tool(registry, spec)
+    names = sorted(registry.names()) + ["Not Registered"]
+    used = draw(st.frozensets(st.sampled_from(names)))
+    return registry, used
+
+
+@given(_registries_and_used())
+def test_slot_tables_match_whole_registry_scans(case) -> None:
+    """compatible_successors and step_frontier's end_ok read per-modality
+    tables; they must agree with scanning every registered tool."""
+    registry, used = case
+    for modality in Modality:
+        assert compatible_successors(registry, modality, used) == tuple(
+            spec for spec in registry if spec.name not in used and spec.inputs[0] is modality
+        )
+
+    for category in (TaskCategory.IMAGE_TEXT_TO_TEXT, TaskCategory.TEXT_TEXT_TO_TEXT):
+        task = build_task("x-000", category, ((), ()), (), samples_per_task=1)
+        state = replace(initial_state(task), used=used)
+        frontier = step_frontier(state, task, registry, 6)
+        end_ok = frontier is not None and END_TOKEN in frontier.actions
+        # Two live branches: parking is legal only if a join could take the head.
+        assert end_ok == any(
+            len(spec.inputs) == 2
+            and spec.name not in used
+            and spec.inputs[1] is state.branches[0].modality
+            for spec in registry
+        )
