@@ -370,8 +370,15 @@ def catalog_to_json(catalog: tuple[TaskSpec, ...] | list[TaskSpec]) -> list[dict
 
 
 def catalog_from_json(docs: list[dict]) -> tuple[TaskSpec, ...]:
+    """The tasks of a catalog document. Task ids must be unique."""
     with reading("catalog"):
-        return tuple(task_from_json(doc) for doc in docs)
+        tasks = tuple(task_from_json(doc) for doc in docs)
+        seen: set[str] = set()
+        for task in tasks:
+            if task.id in seen:
+                raise ValueError(f"duplicate task id {task.id!r}")
+            seen.add(task.id)
+        return tasks
 
 
 def split_train_test(

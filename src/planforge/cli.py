@@ -19,7 +19,6 @@ from statistics import fmean
 from . import __version__
 from .benchgen import (
     catalog_from_json,
-    catalog_to_json,
     generate_catalog,
     oracle_best_plan,
     required_oracle_depth,
@@ -31,7 +30,7 @@ from .errors import EngineError
 from .evalkit import comparison_to_csv, evaluate, report_to_json
 from .executor import execute_task, trace_record
 from .parser import extract_sequence
-from .plan_ir import TaskSpec, plan_from_json, plan_to_json, validate_plan
+from .plan_ir import TaskSpec, plan_from_json, plan_to_json, task_to_json, validate_plan
 from .policy import (
     PolicyParams,
     TabularPolicy,
@@ -52,9 +51,19 @@ def _manifest(cfg: EngineConfig, command: str, seed: int | None) -> dict:
     }
 
 
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _json_array(texts: list[str]) -> str:
+    """``_dumps`` of a list, assembled from the ``_dumps`` of its items."""
+    if not texts:
+        return "[]"
+    return "[\n" + ",\n".join("  " + text.replace("\n", "\n  ") for text in texts) + "\n]"
+
+
 def _write_json(path: Path, doc) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, _dumps(doc) + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -115,10 +124,12 @@ def _load_policy(args) -> TabularPolicy:
 def _cmd_gen(args, cfg: EngineConfig) -> int:
     out = Path(args.out or cfg.out_dir)
     catalog = generate_catalog(cfg.catalog, cfg.sim)
-    _write_json(out / "catalog.json", catalog_to_json(catalog))
+    # Each task is encoded once; catalog.json is assembled from the same strings.
+    texts = [_dumps(task_to_json(task)) for task in catalog]
+    _write_text(out / "catalog.json", _json_array(texts) + "\n")
     _write_json(out / "manifest.json", _manifest(cfg, "gen", cfg.catalog.seed))
-    for task in catalog:
-        _write_json(out / "tasks" / f"{task.id}.json", catalog_to_json([task])[0])
+    for task, text in zip(catalog, texts):
+        _write_text(out / "tasks" / f"{task.id}.json", text + "\n")
     print(f"wrote {len(catalog)} tasks to {out / 'catalog.json'}")
     return 0
 

@@ -16,7 +16,7 @@ from statistics import fmean
 
 from .decoder import DecoderConfig, Policy, beam_search
 from .errors import NoFeasiblePlan
-from .executor import execute_task
+from .executor import sample_scores
 from .plan_ir import MetricSlot, TaskSpec
 from .registry import ToolRegistry
 from .simkit import DEFAULT_CONSTANTS, Modality, SemanticId, SimConstants
@@ -48,7 +48,13 @@ class ReportTable:
 def task_reward(
     plan, task: TaskSpec, registry: ToolRegistry, constants: SimConstants = DEFAULT_CONSTANTS
 ) -> float:
-    return fmean(score for _, score in execute_task(plan, task, registry, constants))
+    """The plan's mean score over the task's dataset.
+
+    The mean is over all n sample scores, not one score per relabel
+    class: ``fmean([s] * n)`` is not always ``s``, and this keeps the
+    reward bit-equal to the mean of `execute_task`'s scores.
+    """
+    return fmean(sample_scores(plan, task, registry, constants))
 
 
 def evaluate(

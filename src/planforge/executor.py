@@ -5,9 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EngineError
-from .plan_ir import NodeOutput, PlanGraph, TaskInput, TaskSpec, plan_hash, topological_stages
+from .plan_ir import PlanGraph, Sample, TaskInput, TaskSpec, plan_hash, topological_stages
 from .registry import ToolRegistry
-from .simkit import DEFAULT_CONSTANTS, Payload, SimConstants, apply_tool, payload_to_json, similarity
+from .simkit import (
+    DEFAULT_CONSTANTS,
+    Payload,
+    SimConstants,
+    apply_tool,
+    payload_to_json,
+    relabel_key,
+    similarity,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +69,16 @@ def execute(
     return ExecutionTrace(node_outputs=outputs, final=final, stages=stages, error=error)
 
 
+def _run(
+    plan: PlanGraph, sample: Sample, registry: ToolRegistry, constants: SimConstants
+) -> tuple[ExecutionTrace, float]:
+    """Execute the plan on one sample and score it. A failed run scores 0."""
+    trace = execute(plan, sample.inputs, registry, constants)
+    if trace.error is not None or trace.final is None:
+        return trace, 0.0
+    return trace, similarity(trace.final, sample.reference, constants)
+
+
 def execute_task(
     plan: PlanGraph,
     task: TaskSpec,
@@ -68,15 +86,31 @@ def execute_task(
     constants: SimConstants = DEFAULT_CONSTANTS,
 ) -> list[tuple[ExecutionTrace, float]]:
     """Execute the plan on every sample. Failed runs score 0."""
-    results = []
+    return [_run(plan, sample, registry, constants) for sample in task.dataset]
+
+
+def sample_scores(
+    plan: PlanGraph,
+    task: TaskSpec,
+    registry: ToolRegistry,
+    constants: SimConstants = DEFAULT_CONSTANTS,
+) -> list[float]:
+    """`execute_task`'s scores, float for float, from one execution per
+    relabel class.
+
+    Samples whose inputs and reference have equal `relabel_key`s differ
+    only in the names of their leaves, and the plan scores them the
+    same. The first sample of each class is executed; the others in the
+    class copy its score.
+    """
+    by_class: dict[tuple, float] = {}
+    scores = []
     for sample in task.dataset:
-        trace = execute(plan, sample.inputs, registry, constants)
-        if trace.error is not None or trace.final is None:
-            score = 0.0
-        else:
-            score = similarity(trace.final, sample.reference, constants)
-        results.append((trace, score))
-    return results
+        key = relabel_key((*sample.inputs, sample.reference))
+        if key not in by_class:
+            by_class[key] = _run(plan, sample, registry, constants)[1]
+        scores.append(by_class[key])
+    return scores
 
 
 def trace_record(task_id: str, plan: PlanGraph, score: float, trace: ExecutionTrace) -> dict:

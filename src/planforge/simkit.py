@@ -131,6 +131,9 @@ TRANSFORM_OPS: dict[SemanticId, str] = {
 
 TRANSLATE_OP = "de"
 
+# Every op label a tool can wrap around an expr.
+TOOL_OPS = frozenset(TRANSFORM_OPS.values()) | {TRANSLATE_OP}
+
 # Expr is either a leaf content id or (op, child, ...).
 Expr = str | tuple
 
@@ -360,6 +363,41 @@ def _node_labels(expr: Expr):
 def expr_labels(expr: Expr) -> Counter:
     """Multiset of node labels in an expression tree, leaves included."""
     return Counter(_node_labels(expr))
+
+
+def _op_heads(expr: Expr):
+    """The op label of every inner node of an expression tree."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, str):
+            yield node[0]
+            stack.extend(node[1:])
+
+
+def relabel_key(payloads: tuple[Payload, ...]) -> tuple:
+    """``payloads`` up to a renaming of their leaf labels: each payload's
+    modality, language, corruptions and quality, and its expr with leaf
+    labels renamed to integers in first-occurrence order across all of
+    ``payloads``.
+
+    A leaf label that is also an op label, a tool op or an op head of
+    any of ``payloads``, stays verbatim: `similarity` counts labels, so
+    a leaf named like an op matches that op. Two payload tuples with
+    equal keys then differ by a one-to-one renaming of labels that fixes
+    every op label. `apply_tool` is expr-equivariant and `similarity`
+    reads exprs only through ``==`` and their label multisets, so a
+    plan run on such inputs scores the same against such references.
+    """
+    kept = TOOL_OPS.union(*(_op_heads(p.expr) for p in payloads))
+    names: dict[str, int] = {}
+
+    def rename(expr: Expr):
+        if isinstance(expr, str):
+            return expr if expr in kept else names.setdefault(expr, len(names))
+        return (expr[0], *map(rename, expr[1:]))
+
+    return tuple((p.modality, p.language, p.corruptions, p.quality, rename(p.expr)) for p in payloads)
 
 
 # A structure term in progress, as the integers `structure_similarity`

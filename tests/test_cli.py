@@ -7,10 +7,14 @@ import math
 import re
 import shlex
 from pathlib import Path
+from statistics import fmean
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
-from planforge.cli import main
+from planforge.cli import _dumps, _json_array, main
+from planforge.executor import execute_task
 
 TINY_CONFIG = {
     "catalog": {
@@ -234,6 +238,10 @@ def _text_ii_input(catalog: list) -> list:
     return catalog
 
 
+def _duplicate_task_id(catalog: list) -> list:
+    return catalog + [_task(catalog, "ii-000")]
+
+
 def _checkpoint(version=1, token="x", value=1.0, **context) -> dict:
     """A one-entry checkpoint that loads, with the given parts swapped in."""
     fields = {"task_category": "image_to_image", "prev_tool": "*", "branch_modality": "Image", "hint": "end"}
@@ -283,6 +291,8 @@ MALFORMED_DOCUMENTS = [
     ("oracle", "--catalog", "task", _no_chains),
     ("eval", "--catalog", "task", _one_itt_input),
     ("eval", "--catalog", "task", _text_ii_input),
+    ("oracle", "--catalog", "catalog", _duplicate_task_id),
+    ("eval", "--catalog", "catalog", _duplicate_task_id),
 ]
 
 
@@ -510,6 +520,44 @@ def test_eval_overall_averages_only_populated_slots(tmp_path, capsys) -> None:
     assert math.isclose(report["vit"], 0.81)
     csv_lines = (out / "report.csv").read_text().splitlines()
     assert csv_lines[2:] == ["clip,n/a", "bert,n/a", "vit,0.810000", "overall,0.810000"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(st.lists(_JSON, max_size=4))
+@example([])
+@example([{"id": "ii-000", "dataset": [{"inputs": []}]}])
+def test_json_array_assembles_the_dumps_of_the_list(docs) -> None:
+    """`gen` encodes each task once and builds catalog.json from the
+    per-task strings; the assembled string is the list's own encoding."""
+    assert _json_array([_dumps(doc) for doc in docs]) == json.dumps(docs, indent=2, sort_keys=True)
+
+
+def test_gen_writes_each_task_as_in_the_catalog(ws) -> None:
+    catalog = json.loads(ws["catalog"].read_text())
+    assert ws["catalog"].read_text() == json.dumps(catalog, indent=2, sort_keys=True) + "\n"
+    for doc in catalog:
+        text = (ws["out"] / "tasks" / f"{doc['id']}.json").read_text()
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_readme_library_example_prints_the_task_reward(capsys) -> None:
+    """The README's library block runs as written and prints the mean of
+    `execute_task`'s scores for the plan it decodes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, flags=re.DOTALL).group(1)
+    names: dict = {}
+    exec(block, names)
+    task_id, reward = capsys.readouterr().out.split()
+    assert task_id == names["task"].id
+    scores = [score for _, score in execute_task(names["best"].plan, names["task"], names["registry"])]
+    assert float(reward) == fmean(scores)
 
 
 def _readme_session() -> list[tuple[str, list[list[str]]]]:

@@ -240,7 +240,7 @@ def test_training_executes_and_replays_each_distinct_episode_once(
     assert Counter(replayed) == Counter((task.id, plan) for task, plan in golds)
 
     monkeypatch.setattr(
-        planforge.evalkit, "execute_task", counting(executed, planforge.evalkit.execute_task)
+        planforge.evalkit, "sample_scores", counting(executed, planforge.evalkit.sample_scores)
     )
     monkeypatch.setattr(planforge.rltf, "replay_steps", counting(replayed, replay_steps))
     monkeypatch.setattr(planforge.rltf, "sample_plan", recording_sample)
