@@ -32,7 +32,6 @@ from .plan_ir import (
     TaskSpec,
     plan_to_json,
     task_from_json,
-    task_to_json,
 )
 from .registry import ToolRegistry, ToolSpec
 from .simkit import (
@@ -365,10 +364,6 @@ def generate_catalog(
     return tuple(tasks)
 
 
-def catalog_to_json(catalog: tuple[TaskSpec, ...] | list[TaskSpec]) -> list[dict]:
-    return [task_to_json(task) for task in catalog]
-
-
 def catalog_from_json(docs: list[dict]) -> tuple[TaskSpec, ...]:
     """The tasks of a catalog document. Task ids must be unique."""
     with reading("catalog"):
@@ -499,10 +494,13 @@ def _enumerate_chains(
     start_shape: Shape | None,
     max_depth: int,
     table: _DynamicsTable,
+    target: Modality | None = None,
 ) -> list[ToolChain]:
     """All duplicate-free single-input tool chains up to the depth from a
     start of the given modality and shape, as (tool names, output
-    modality, output shape, wrap ops, quality factors).
+    modality, output shape, wrap ops, quality factors). Given a
+    ``target`` modality, chains of length ``max_depth`` that end off it
+    are left out: nothing can extend them onto the target.
 
     Each step is one lookup in the dynamics ``table``. The ops are the
     wrap ops of the chain's steps in order, so its output expr is the
@@ -525,8 +523,11 @@ def _enumerate_chains(
     ) -> None:
         if len(names) == max_depth:
             return
+        last = target is not None and len(names) + 1 == max_depth
         for spec in arity1:
             if spec.name in names or spec.inputs[0] is not modality:
+                continue
+            if last and spec.output is not target:
                 continue
             nxt, grown_ops, grown_factors = None, ops, factors
             if shape is not None:
@@ -580,10 +581,23 @@ def oracle_best_plan(
     `chain_similarity` of its content term, ``q`` and its factors, the
     same float as `similarity` of the executed output.
 
-    This is a transposition table, not pruning: the search visits every
-    candidate, and ``plans_examined`` counts each one. The plan graph
-    and its document are built only for a candidate whose score and
-    tool count tie or beat the current best.
+    On a two-input task only candidates that can still win or tie are
+    scored. A candidate scores ``content * (scale_quality(q, factors) *
+    gamma ** r)`` at input quality ``q``, and the content term, every
+    factor and ``gamma`` lie in [0, 1]. A float multiplied by a value in
+    [0, 1] never rounds above itself, so no candidate scores above ``q``.
+    Here ``q`` is the joined quality of its (join, head pair), 0.0 if
+    the join raises. When that is strictly below the best score so far,
+    no tail of the pair can win or tie, and none is scored.
+    ``plans_examined`` still counts every candidate of the family: such
+    a pair adds the number of its tails that share no tool with it,
+    counted once per joined shape and set of the pair's tools that those
+    tails use. Under ``replayable_only`` the best score is the best
+    replayable one, so the bound skips nothing that could be kept. The
+    winner is the argmin of a total order, so the order in which head
+    pairs are visited (grouped by output shape) does not change it. The
+    plan graph and its document are built only for a candidate whose
+    score and tool count tie or beat the current best.
     """
     if len(task.input_signature) > 2:
         raise ValueError("oracle handles one or two task inputs")
@@ -647,7 +661,9 @@ def oracle_best_plan(
     if len(task.input_signature) == 1:
         start = sample.inputs[0]
         chains, distinct_ops = reaching_target(
-            _enumerate_chains(arity1, task.input_signature[0], _shape(start), max_depth, table)
+            _enumerate_chains(
+                arity1, task.input_signature[0], _shape(start), max_depth, table, target
+            )
         )
         root = label_countdown(reference_labels, start.expr)
         structs = [countdown_structure(count_down(root, ops)) for ops in distinct_ops]
@@ -667,50 +683,68 @@ def oracle_best_plan(
         # Both start exprs' labels, counted down once: a joined output's
         # labels are these plus its head chains' ops, join op and tail ops.
         root = label_countdown(reference_labels, sample.inputs[0].expr, sample.inputs[1].expr)
-        # Each input's chains, with the quality each leaves on that input.
+        # Each input's chains by (output modality, output shape), with
+        # their tool set and the quality each leaves on that input.
         per_input = []
         for i in range(2):
             start = sample.inputs[i]
-            chains = _enumerate_chains(
+            groups: dict[tuple, list] = {}
+            for names, modality, shape, ops, factors in _enumerate_chains(
                 arity1, task.input_signature[i], _shape(start), max_depth, table
-            )
-            per_input.append([
-                (names, modality, shape, ops, scale_quality(start.quality, factors))
-                for names, modality, shape, ops, factors in chains
-            ])
-        # (join output modality, joined shape) -> reaching_target of its tails
+            ):
+                groups.setdefault((modality, shape), []).append(
+                    (names, frozenset(names), ops, scale_quality(start.quality, factors))
+                )
+            per_input.append(groups)
+        # (join output modality, joined shape) -> reaching_target of its
+        # tails and the union of their tool sets
         tail_memo: dict[tuple, tuple] = {}
         # (that key, the joined expr's ops) -> structure term of each distinct
         # tail ops tuple on that joined expr
         struct_memo: dict[tuple, list[float]] = {}
-        for a, b in ((0, 1), (1, 0)):
-            for join in joins:
-                for names0, mod0, shape0, ops0, q0 in per_input[a]:
-                    if mod0 is not join.inputs[0]:
+        # (that key, the head pair's tools that some tail uses) -> how many
+        # of the key's tails are disjoint from those tools
+        count_memo: dict[tuple, int] = {}
+        for (a, b), join in itertools.product(((0, 1), (1, 0)), joins):
+            join_set = frozenset((join.name,))
+            for (mod0, shape0), heads0 in per_input[a].items():
+                for (mod1, shape1), heads1 in per_input[b].items():
+                    if mod0 is not join.inputs[0] or mod1 is not join.inputs[1]:
                         continue
-                    for names1, mod1, shape1, ops1, q1 in per_input[b]:
-                        if mod1 is not join.inputs[1]:
+                    entry = None
+                    if shape0 is not None and shape1 is not None:
+                        entry = table[join.semantic, (shape0, shape1)]
+                    joined_shape = None if entry is None else entry[0]
+                    key = (join.output, joined_shape)
+                    found = tail_memo.get(key)
+                    if found is None:
+                        tails, distinct_ops = reaching_target(_enumerate_chains(
+                            arity1, join.output, joined_shape, max_depth, table, target
+                        ))
+                        tools = frozenset().union(*(tail[1] for tail in tails))
+                        found = tail_memo[key] = tails, distinct_ops, tools
+                    tails, distinct_ops, tools = found
+                    for (names0, set0, ops0, q0), (names1, set1, ops1, q1) in itertools.product(
+                        heads0, heads1
+                    ):
+                        used = set0 | set1 | join_set
+                        head_len = len(used)
+                        if head_len != len(names0) + len(names1) + 1:
                             continue
-                        used = set(names0) | set(names1)
-                        if len(used) != len(names0) + len(names1) or join.name in used:
+                        joined_quality = 0.0 if entry is None else (q0 * q1) * entry[1]
+                        if joined_quality < best_score:
+                            # No tail scores above joined_quality: count them only.
+                            clash = used & tools
+                            count = count_memo.get((key, clash))
+                            if count is None:
+                                count = count_memo[key, clash] = sum(
+                                    1 for tail in tails if clash.isdisjoint(tail[1])
+                                )
+                            examined += count
                             continue
-                        entry = None
-                        if shape0 is not None and shape1 is not None:
-                            entry = table[join.semantic, (shape0, shape1)]
-                        joined_shape = None if entry is None else entry[0]
-                        key = (join.output, joined_shape)
-                        found = tail_memo.get(key)
-                        if found is None:
-                            found = tail_memo[key] = reaching_target(_enumerate_chains(
-                                arity1, join.output, joined_shape, max_depth, table
-                            ))
-                        tails, distinct_ops = found
-                        if entry is None:
-                            structs, joined_quality = (), 0.0
-                        else:
-                            _, factor, op = entry
-                            joined_quality = (q0 * q1) * factor
-                            joined_ops = ops0 + ops1 + (op,)
+                        structs = ()
+                        if entry is not None:
+                            joined_ops = ops0 + ops1 + (entry[2],)
                             structs = struct_memo.get((key, joined_ops))
                             if structs is None:
                                 joined = count_down(root, joined_ops)
@@ -718,8 +752,6 @@ def oracle_best_plan(
                                     countdown_structure(count_down(joined, ops))
                                     for ops in distinct_ops
                                 ]
-                        used.add(join.name)
-                        head_len = len(used)
                         for tail, tail_set, factors, k, w_lang, residuals in tails:
                             if not used.isdisjoint(tail_set):
                                 continue

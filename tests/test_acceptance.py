@@ -21,7 +21,6 @@ import pytest
 from planforge.benchgen import (
     CatalogConfig,
     TEXT_CHAINS,
-    catalog_to_json,
     generate_catalog,
     oracle_best_plan,
     required_oracle_depth,
@@ -41,7 +40,7 @@ from planforge.decoder import (
 from planforge.errors import LanguageGuard, NoFeasiblePlan
 from planforge.evalkit import evaluate, task_reward
 from planforge.executor import execute
-from planforge.plan_ir import NodeOutput, PlanGraph, PlanNode, is_nonlinear, validate_plan
+from planforge.plan_ir import NodeOutput, PlanGraph, PlanNode, is_nonlinear, task_to_json, validate_plan
 from planforge.policy import (
     GuidedPlanPolicy,
     PolicyParams,
@@ -350,8 +349,8 @@ def test_criterion_8_schema_ordering(comparison) -> None:
 def test_criterion_9_catalog_counts(catalog) -> None:
     singles = sum(1 for t in catalog if len(t.input_signature) == 1)
     doubles = sum(1 for t in catalog if len(t.input_signature) == 2)
-    first = json.dumps(catalog_to_json(catalog), sort_keys=True)
-    second = json.dumps(catalog_to_json(generate_catalog(CatalogConfig())), sort_keys=True)
+    first = json.dumps([task_to_json(t) for t in catalog], sort_keys=True)
+    second = json.dumps([task_to_json(t) for t in generate_catalog(CatalogConfig())], sort_keys=True)
     _report(
         9,
         len(catalog) == 185 and singles == 117 and doubles == 68 and first == second,

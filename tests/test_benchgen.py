@@ -20,7 +20,6 @@ from planforge.benchgen import (
     CatalogConfig,
     build_task,
     catalog_from_json,
-    catalog_to_json,
     category_space,
     describe,
     generate_catalog,
@@ -39,6 +38,7 @@ from planforge.plan_ir import (
     TaskInput,
     is_nonlinear,
     plan_to_json,
+    task_to_json,
     topological_stages,
     validate_plan,
 )
@@ -135,8 +135,9 @@ def test_default_catalog_counts(catalog) -> None:
 
 def test_catalog_is_byte_identical_across_runs(catalog) -> None:
     again = generate_catalog(CatalogConfig())
-    assert json.dumps(catalog_to_json(catalog)) == json.dumps(catalog_to_json(again))
-    assert catalog_from_json(catalog_to_json(catalog)) == tuple(catalog)
+    docs = [task_to_json(t) for t in catalog]
+    assert json.dumps(docs) == json.dumps([task_to_json(t) for t in again])
+    assert catalog_from_json(docs) == tuple(catalog)
 
 
 def test_two_input_chain_length_ordering(catalog) -> None:
@@ -258,6 +259,29 @@ def test_oracle_runs_each_tool_dynamics_once(registry, monkeypatch) -> None:
     assert calls and len(calls) == len(set(calls))
     assert {len(inputs) for _, inputs in calls} == {1, 2}
     assert result.plans_examined == 13923
+    assert result.best_reward == 1.0
+
+
+def test_oracle_scores_only_candidates_that_can_still_win(registry, monkeypatch) -> None:
+    # A (join, head pair) whose joined quality is below the best score so
+    # far has its tails counted, not scored.
+    from planforge import benchgen
+
+    task = build_task(
+        "itt-x", TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,)
+    )
+    calls = 0
+    real = benchgen.chain_similarity
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(benchgen, "chain_similarity", counting)
+    result = oracle_best_plan(task, registry, 2)
+    assert result.plans_examined == 13923
+    assert 0 < calls < result.plans_examined
     assert result.best_reward == 1.0
 
 
@@ -383,6 +407,10 @@ def _with_input_qualities(task, qualities):
 @example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK, C.TRANSLATE), (C.MASK,)), (S.QA, S.SUMMARIZE), 2, False, (1.0, 1.0)))
 @example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK, C.TRANSLATE), (C.MASK,)), (S.QA, S.SUMMARIZE), 2, False, (0.37, 0.9)))
 @example((TaskCategory.IMAGE_TO_TEXT, ((C.BLUR, C.NOISE),), (S.CAPTION,), 2, False, (0.5,)))
+@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), 2, True, (0.37, 0.9)))
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK, C.TRANSLATE), (C.MASK,)), (S.QA, S.SUMMARIZE), 2, True, (0.37, 0.9)))
+@example((TaskCategory.IMAGE_TO_TEXT, ((C.BLUR,),), (S.CAPTION,), 1, False, (0.9,)))
+@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE,), (C.MASK,)), (S.VQA,), 1, True, (0.37, 0.9)))
 def test_oracle_matches_naive_reference(case) -> None:
     category, chains, builder, depth, replayable_only, qualities = case
     task = build_task("x-000", category, chains, builder, samples_per_task=2)

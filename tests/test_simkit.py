@@ -430,6 +430,31 @@ def test_chain_similarity_matches_running_the_chain(start, ref, chain) -> None:
     )
 
 
+_UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0)
+_QUALITIES = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@given(
+    _UNIT_FLOATS,
+    _QUALITIES,
+    st.lists(_UNIT_FLOATS, max_size=6),
+    st.integers(min_value=0, max_value=8),
+    _QUALITIES,
+    _UNIT_FLOATS,
+    _UNIT_FLOATS,
+    _UNIT_FLOATS,
+)
+@example(1.0, 5e-324, (1.0,), 0, 1.0, 5e-324, 1.0, 1.0)
+@example(1.0, 1.0 - 2**-53, (1.0 - 2**-53,), 1, 1.0 - 2**-53, 1.0 - 2**-53, 1.0 - 2**-53, 1.0 - 2**-53)
+def test_no_score_exceeds_its_input_quality(content, q, factors, residuals, gamma, q0, q1, f) -> None:
+    # Multiplying by a factor in [0, 1] never rounds upward. The oracle
+    # relies on this to leave unscored every tail of a join whose
+    # quality is below the best score so far.
+    constants = SimConstants(gamma=gamma)
+    assert chain_similarity(content, q, tuple(factors), residuals, constants) <= q
+    assert (q0 * q1) * f <= q0 * q1
+
+
 # Expr equivariance: a tool's dynamics depend on its inputs' shapes alone.
 # The oracle's tool-dynamics table runs each tool once per input shape and
 # carries exprs as op tuples, relying on the three properties below.
