@@ -10,9 +10,9 @@ with one branch left it completes the plan, which is only allowed once
 the branch modality matches the task output and every task input has
 been consumed.
 
-The same state machine drives beam search, stochastic rollout sampling,
-and replay of an existing plan as a decoding episode. Replay is what
-gives plans a log-probability under a policy.
+The same state machine drives beam search, rollout sampling, which
+records its episode's steps, and replay of an existing plan as a
+decoding episode. Those steps give plans a log-probability under a policy.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.max_tools_per_branch < 1:
             raise ValueError("max_tools_per_branch must be positive")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and positive")
         if self.top_k < 0:
             raise ValueError("top_k must be >= 0")
         if not 0 < self.top_p <= 1:
@@ -120,6 +120,8 @@ class StepFrontier:
     branch_index: int
     context: Context
     actions: tuple[str, ...]
+    uncapped: tuple[str, ...]  # actions without the tool cap: what a replay scores
+    completes: bool  # one unconsumed branch left: END completes the plan, not parks
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,13 +208,12 @@ def step_frontier(
     branch = state.branches[acting]
     unconsumed = sum(1 for b in state.branches if not b.consumed)
 
-    tools = []
+    tools, joins = [], []
     for spec in compatible_successors(registry, branch.modality, state.used):
         if len(spec.inputs) == 1:
-            if branch.tool_count < max_tools_per_branch:
-                tools.append(spec.name)
-        elif unconsumed >= 2 and _partner_index(state, acting, spec.inputs[1]) is not None:
             tools.append(spec.name)
+        elif unconsumed >= 2 and _partner_index(state, acting, spec.inputs[1]) is not None:
+            joins.append(spec.name)
 
     if unconsumed >= 2:
         # Parking only helps if some future join could take this head.
@@ -223,7 +224,9 @@ def step_frontier(
             b.head is not None or b.consumed for b in state.branches
         )
 
-    actions = tuple(sorted(tools)) + ((END_TOKEN,) if end_ok else ())
+    end = (END_TOKEN,) if end_ok else ()
+    uncapped = tuple(sorted(tools + joins)) + end
+    actions = uncapped if branch.tool_count < max_tools_per_branch else tuple(sorted(joins)) + end
     if not actions:
         return None
     ctx = Context(
@@ -232,7 +235,7 @@ def step_frontier(
         branch_modality=branch.modality.value,
         hint=hint_token(branch.hint, task.reference_builder),
     )
-    return StepFrontier(branch_index=acting, context=ctx, actions=actions)
+    return StepFrontier(acting, ctx, actions, uncapped, unconsumed < 2)
 
 
 def _flagged(branch: BranchState, parked: bool, consumed: bool) -> BranchState:
@@ -245,15 +248,13 @@ def _flagged(branch: BranchState, parked: bool, consumed: bool) -> BranchState:
 
 def apply_action(
     state: BeamState,
+    frontier: StepFrontier,
     token: str,
-    task: TaskSpec,
     registry: ToolRegistry,
     lp_delta: float = 0.0,
 ) -> BeamState:
-    """Advance the state by one eligible action."""
-    acting = _active_index(state)
-    if acting is None:
-        raise InvalidPlan("no live branch to act")
+    """Advance the state by one eligible action of its frontier."""
+    acting = frontier.branch_index
     branch = state.branches[acting]
     branches = list(state.branches)
     rr = (acting + 1) % len(branches)
@@ -261,10 +262,10 @@ def apply_action(
     done, output_node = state.done, state.output_node
 
     if token == END_TOKEN:
-        if sum(1 for b in state.branches if not b.consumed) >= 2:
-            branches[acting] = _flagged(branch, True, branch.consumed)
-        else:
+        if frontier.completes:
             done, output_node, rr = True, branch.head, state.rr
+        else:
+            branches[acting] = _flagged(branch, True, branch.consumed)
     else:
         spec = registry.get(token)
         if len(spec.inputs) == 1:
@@ -273,8 +274,6 @@ def apply_action(
             tool_count = branch.tool_count + 1
         else:
             partner_idx = _partner_index(state, acting, spec.inputs[1])
-            if partner_idx is None:
-                raise InvalidPlan(f"{token} has no join partner")
             partner = branches[partner_idx]
             refs = (head_ref(branch), head_ref(partner))
             hint = advance_hint(merge_hint_states(branch.hint, partner.hint), spec.semantic)
@@ -354,22 +353,21 @@ def beam_search(
             scores = policy.score_step(
                 frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
             )
-            # With one unconsumed branch left, the end token completes the plan.
-            end_completes = sum(not b.consumed for b in state.branches) < 2
             for token in frontier.actions:
                 delta = scores[token]
-                if token == END_TOKEN and end_completes:
-                    child = apply_action(state, token, task, registry, lp_delta=delta)
+                if token == END_TOKEN and frontier.completes:
+                    child = apply_action(state, frontier, token, registry, lp_delta=delta)
                     plan = to_plan(child)
                     finished.append((plan_hash(plan), DecodedPlan(plan, child.log_prob)))
                 else:
                     # Parent paths have equal length, so (path, token)
                     # sorts like the child's path + (token,).
-                    candidates.append((-(state.log_prob + delta), state.path, token, state, delta))
+                    key = -(state.log_prob + delta)
+                    candidates.append((key, state.path, token, state, frontier, delta))
         candidates.sort()
         live = [
-            apply_action(state, token, task, registry, lp_delta=delta)
-            for _, _, token, state, delta in candidates[: cfg.beam_size]
+            apply_action(state, frontier, token, registry, lp_delta=delta)
+            for _, _, token, state, frontier, delta in candidates[: cfg.beam_size]
         ]
 
     if not finished:
@@ -439,10 +437,10 @@ def sample_plan(
     cfg: SamplerConfig,
     rng: random.Random,
     epsilon: float = 0.0,
-) -> PlanGraph:
-    """Sample one complete plan; dead-end episodes are retried."""
+) -> tuple[PlanGraph, list[ReplayStep]]:
+    """Sample one plan and its episode's steps (its `replay_steps`); dead ends are retried."""
     for _ in range(SAMPLE_RETRIES):
-        state = initial_state(task)
+        state, steps = initial_state(task), []
         for _ in range(_step_cap(task, registry)):
             if state.done:
                 break
@@ -453,9 +451,10 @@ def sample_plan(
                 frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
             )
             token = _draw(scores, frontier.actions, cfg, rng, epsilon)
-            state = apply_action(state, token, task, registry, lp_delta=scores[token])
+            steps.append(ReplayStep(frontier.context, frontier.uncapped, token))
+            state = apply_action(state, frontier, token, registry, lp_delta=scores[token])
         if state.done:
-            return to_plan(state)
+            return to_plan(state), steps
     raise NoFeasiblePlan(f"sampling kept dead-ending on {task.id}")
 
 
@@ -467,7 +466,6 @@ def _map_ref(ref: InputRef, id_map: dict[int, int]) -> InputRef | None:
 
 
 def expected_action(
-    task: TaskSpec,
     registry: ToolRegistry,
     state: BeamState,
     branch_index: int,
@@ -531,7 +529,7 @@ def replay_steps(
     task: TaskSpec,
     registry: ToolRegistry,
 ) -> list[ReplayStep]:
-    """Reconstruct the decoding episode that emits the plan.
+    """Reconstruct the decoding episode of a plan that comes without a walk.
 
     Raises InvalidPlan when no canonical episode produces it. The
     per-branch tool cap does not apply here; replay defines the plan
@@ -545,11 +543,11 @@ def replay_steps(
         frontier = step_frontier(state, task, registry, len(registry))
         if frontier is None:
             raise InvalidPlan("decoding dead-ends before the plan completes")
-        token = expected_action(task, registry, state, frontier.branch_index, plan)
+        token = expected_action(registry, state, frontier.branch_index, plan)
         if token is None or token not in frontier.actions:
             raise InvalidPlan("plan is not reachable by canonical decoding")
         steps.append(ReplayStep(frontier.context, frontier.actions, token))
-        state = apply_action(state, token, task, registry)
+        state = apply_action(state, frontier, token, registry)
     if not state.done:
         raise InvalidPlan("replay did not terminate")
     if len(state.nodes) != len(plan.nodes):

@@ -225,9 +225,7 @@ class GuidedPlanPolicy:
     ) -> dict[str, float]:
         if not actions:
             raise EmptyAllowedSet("no tokens to score")
-        token = expected_action(
-            view.task, self.registry, view.state, view.branch_index, self.plan
-        )
+        token = expected_action(self.registry, view.state, view.branch_index, self.plan)
         logits = {a: self.strength if a == token else 0.0 for a in actions}
         return _log_softmax(logits, actions)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from .benchgen import oracle_best_plan, required_oracle_depth
-from .decoder import DecoderConfig, ReplayStep, SamplerConfig, replay_steps, sample_plan
+from .decoder import DecoderConfig, ReplayStep, SamplerConfig, sample_plan
 from .errors import NoFeasiblePlan
 from .evalkit import ReportTable, evaluate, task_reward
 from .plan_ir import PlanGraph, TaskSpec
@@ -47,6 +47,16 @@ class TrainConfig:
     pretrain_epochs: int = 150
     pretrain_lr: float = 0.1
     sampling: SamplerConfig = SamplerConfig()
+
+    def __post_init__(self) -> None:
+        # Comparisons with NaN are false, so these also reject NaN.
+        lows = {"epochs": 0, "pretrain_epochs": 0, "rollouts_per_task": 1, "lr": 0, "pretrain_lr": 0}
+        for name, low in lows.items():
+            if not low <= getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and >= {low}, got {getattr(self, name)}")
+        for name in ("epsilon", "epsilon_decay", "baseline_momentum"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,9 +89,9 @@ def reinforce_step(
     lr: float,
     momentum: float = 0.9,
 ) -> tuple[PolicyParams, BaselineState]:
-    """One policy-gradient update from a batch of replayed, scored rollouts.
+    """One policy-gradient update from a batch of scored rollouts.
 
-    Each rollout is its episode's replay steps and its reward. Gradients
+    Each rollout is the steps its sampler recorded and its reward. Gradients
     are taken at the incoming parameters; the baseline that centers the
     rewards is the one carried in, and the refreshed baseline only
     affects the next call.
@@ -109,15 +119,15 @@ def train(
 ) -> tuple[PolicyParams, tuple[HistoryRow, ...]]:
     """Epochs of per-task rollout batches. Returns params and history.
 
-    A plan's reward and replay depend only on the plan and its task, so
-    each distinct plan sampled for a task is executed and replayed once.
+    Rollouts carry the steps their sampler recorded, so no plan is replayed;
+    a reward depends only on plan and task, so each distinct plan runs once.
     """
     rng = random.Random(cfg.seed)
     epsilon = cfg.epsilon
     baseline = BaselineState()
     current = params.copy()
     history: list[HistoryRow] = []
-    memos: list[dict[PlanGraph, tuple[float, list[ReplayStep]]]] = [{} for _ in tasks]
+    memos: list[dict[PlanGraph, float]] = [{} for _ in tasks]
     for epoch in range(cfg.epochs):
         epoch_rewards: list[float] = []
         for task, memo in zip(tasks, memos):
@@ -126,18 +136,12 @@ def train(
             policy = TabularPolicy(current)
             for _ in range(cfg.rollouts_per_task):
                 try:
-                    plan = sample_plan(policy, task, registry, cfg.sampling, rng, epsilon)
+                    plan, steps = sample_plan(policy, task, registry, cfg.sampling, rng, epsilon)
                 except NoFeasiblePlan:
                     continue
                 if plan not in memo:
-                    memo[plan] = (
-                        task_reward(plan, task, registry, constants),
-                        replay_steps(plan, task, registry),
-                    )
-                reward, steps = memo[plan]
-                batch.append((steps, reward))
-            if not batch:
-                continue
+                    memo[plan] = task_reward(plan, task, registry, constants)
+                batch.append((steps, memo[plan]))
             current, baseline = reinforce_step(
                 current, batch, baseline, cfg.lr, cfg.baseline_momentum
             )
@@ -180,7 +184,6 @@ def gold_plans(
 class ComparisonResult:
     tables: dict[str, ReportTable | None]
     trained_params: PolicyParams
-    supervised_params: PolicyParams
     history: tuple[HistoryRow, ...]
 
 
@@ -218,6 +221,5 @@ def run_schema_comparison(
             "rltf": rltf_table,
         },
         trained_params=trained_params,
-        supervised_params=supervised_params,
         history=history,
     )

@@ -36,6 +36,7 @@ from planforge.decoder import (
     initial_state,
     replay_steps,
     sample_plan,
+    step_frontier,
 )
 from planforge.errors import LanguageGuard, NoFeasiblePlan
 from planforge.evalkit import evaluate, task_reward
@@ -131,7 +132,7 @@ def test_criterion_1_decoder_soundness(catalog, registry) -> None:
             if i % 2 == 0:
                 plans = [dp.plan for dp in beam_search(policy, task, registry, cfg)]
             else:
-                plans = [sample_plan(policy, task, registry, sampler, random.Random(i))]
+                plans = [sample_plan(policy, task, registry, sampler, random.Random(i))[0]]
         except NoFeasiblePlan:
             dead += 1
             continue
@@ -170,8 +171,9 @@ def test_criterion_2_trie_fidelity(catalog, registry) -> None:
         (SemanticId.QA,),
         samples_per_task=1,
     )
-    state = apply_action(initial_state(ttt), "Text Summarization", ttt, registry)
-    state = apply_action(state, END_TOKEN, ttt, registry)
+    state = initial_state(ttt)
+    for token in ("Text Summarization", END_TOKEN):
+        state = apply_action(state, step_frontier(state, ttt, registry, 6), token, registry)
     words = allowed_tokens(state, ttt, registry, cfg) - {END_TOKEN}
     ok_b = words == frozenset({"Text", "Sentiment", "Question", "Machine", "Fill"})
     names = {s.name for s in compatible_successors(registry, Modality.TEXT, {"Text Summarization"})}

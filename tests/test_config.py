@@ -219,3 +219,61 @@ def test_tool_cap_below_one_exits_1_with_one_line(tmp_path, capsys) -> None:
     error = json.loads(err)["error"]
     assert error["type"] == "ConfigError"
     assert error["message"] == "bad value in decoder: max_tools_per_branch must be positive"
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        {"epochs": -1},
+        {"pretrain_epochs": -1},
+        {"rollouts_per_task": 0},
+        {"rollouts_per_task": -3},
+        {"lr": -0.1},
+        {"lr": math.nan},
+        {"lr": math.inf},
+        {"pretrain_lr": -1},
+        {"pretrain_lr": math.nan},
+        {"pretrain_lr": math.inf},
+        {"epsilon": -0.1},
+        {"epsilon": 1.5},
+        {"epsilon": math.nan},
+        {"epsilon_decay": 1.01},
+        {"epsilon_decay": math.nan},
+        {"baseline_momentum": -0.5},
+        {"baseline_momentum": math.nan},
+        {"sampling": {"temperature": math.nan}},
+        {"sampling": {"temperature": math.inf}},
+    ],
+)
+def test_out_of_range_train_settings_are_config_errors(train) -> None:
+    with pytest.raises(ConfigError, match=r"^bad value in train(\.sampling)?: "):
+        config_from_json({"train": train})
+
+
+def test_train_range_edges_are_accepted_and_defaults_keep_their_hash() -> None:
+    edges = {
+        "epochs": 0, "pretrain_epochs": 0, "rollouts_per_task": 1, "lr": 0, "pretrain_lr": 0,
+        "epsilon": 1, "epsilon_decay": 0, "baseline_momentum": 1,
+        "sampling": {"temperature": 1e-9},
+    }
+    cfg = config_from_json({"train": edges})
+    assert (cfg.train.epochs, cfg.train.rollouts_per_task, cfg.train.epsilon) == (0, 1, 1)
+    assert config_sha256(EngineConfig()) == (
+        "6c4eed49dde5f00c8aee7f165273e281f0d34e620a443b8c75a91890fb8b02f0"
+    )
+
+
+def test_nan_learning_rate_exits_1_before_training(tmp_path, capsys) -> None:
+    """Python's json reads NaN, so the range check is what stops a run
+    that would write a checkpoint full of NaN."""
+    config = tmp_path / "config.json"
+    config.write_text('{"train": {"lr": NaN}}')
+    out = tmp_path / "run"
+    catalog = str(tmp_path / "catalog.json")
+    assert main(["--config", str(config), "--out", str(out), "train", "--catalog", catalog]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == "bad value in train: lr must be finite and >= 0, got nan"
+    assert not (out / "checkpoint.json").exists()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -64,6 +65,11 @@ MINI = ToolRegistry(
         ToolSpec("Image Denoising", (I,), I, SemanticId.REMOVE_NOISE),
     )
 )
+
+
+def _act(state, token, task, registry):
+    """apply_action on the uncapped frontier the state offers."""
+    return apply_action(state, step_frontier(state, task, registry, len(registry)), token, registry)
 
 
 def _mini_task() -> TaskSpec:
@@ -158,7 +164,7 @@ def test_allowed_tokens_word_level(registry) -> None:
         (SemanticId.SUMMARIZE,),
         samples_per_task=1,
     )
-    after = apply_action(initial_state(txt_task), "Text Summarization", txt_task, registry)
+    after = _act(initial_state(txt_task), "Text Summarization", txt_task, registry)
     tokens = allowed_tokens(after, txt_task, registry, cfg)
     assert END_TOKEN in tokens
     # Question Answering needs a second branch to feed its other slot, so
@@ -172,8 +178,8 @@ def test_allowed_tokens_word_level(registry) -> None:
         (SemanticId.QA,),
         samples_per_task=1,
     )
-    state = apply_action(initial_state(ttt_task), "Text Summarization", ttt_task, registry)
-    state = apply_action(state, END_TOKEN, ttt_task, registry)  # park branch 1
+    state = _act(initial_state(ttt_task), "Text Summarization", ttt_task, registry)
+    state = _act(state, END_TOKEN, ttt_task, registry)  # park branch 1
     tokens = allowed_tokens(state, ttt_task, registry, cfg)
     assert tokens - {END_TOKEN} == frozenset(
         {"Text", "Sentiment", "Question", "Machine", "Fill"}
@@ -217,7 +223,7 @@ def test_replay_reproduces_decoded_plan(catalog, registry) -> None:
         state = initial_state(task)
         for step in steps:
             assert step.chosen in step.actions
-            state = apply_action(state, step.chosen, task, registry)
+            state = _act(state, step.chosen, task, registry)
         assert state.done
         assert plan_hash(to_plan(state)) == plan_hash(top.plan)
 
@@ -237,8 +243,8 @@ def test_stochastic_top1_is_seed_independent(catalog, registry) -> None:
     cfg = SamplerConfig(top_k=1)
     policy = TabularPolicy(PolicyParams())
     for task in list(catalog)[:5]:
-        a = sample_plan(policy, task, registry, cfg, random.Random(1))
-        b = sample_plan(policy, task, registry, cfg, random.Random(99))
+        a, _ = sample_plan(policy, task, registry, cfg, random.Random(1))
+        b, _ = sample_plan(policy, task, registry, cfg, random.Random(99))
         assert plan_hash(a) == plan_hash(b)
 
 
@@ -246,8 +252,8 @@ def test_stochastic_sampling_is_reproducible(catalog, registry) -> None:
     cfg = SamplerConfig()
     policy = UniformPolicy()
     task = list(catalog)[0]
-    a = [plan_hash(sample_plan(policy, task, registry, cfg, random.Random(7))) for _ in range(3)]
-    b = [plan_hash(sample_plan(policy, task, registry, cfg, random.Random(7))) for _ in range(3)]
+    a = [plan_hash(sample_plan(policy, task, registry, cfg, random.Random(7))[0]) for _ in range(3)]
+    b = [plan_hash(sample_plan(policy, task, registry, cfg, random.Random(7))[0]) for _ in range(3)]
     assert a == b
 
 
@@ -286,7 +292,7 @@ def _reference_beam(policy, task, registry, cfg) -> list[tuple[str, float]]:
                 frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
             )
             for token in frontier.actions:
-                child = apply_action(state, token, task, registry, lp_delta=scores[token])
+                child = apply_action(state, frontier, token, registry, lp_delta=scores[token])
                 if child.done:
                     plan = to_plan(child)
                     if validate_plan(
@@ -382,7 +388,7 @@ def test_branch_flags_name_the_consumed_task_inputs(case) -> None:
                 frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
             )
             for token in frontier.actions:
-                child = apply_action(state, token, task, _REGISTRY, lp_delta=scores[token])
+                child = apply_action(state, frontier, token, _REGISTRY, lp_delta=scores[token])
                 from_nodes = {
                     ref.index
                     for node in child.nodes
@@ -462,25 +468,30 @@ def _sample_cases(draw):
 @example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK,), (C.MASK,)), (S.QA,), 7, 0.0, 1, 1))
 @example((TaskCategory.IMAGE_TO_IMAGE, ((C.GRAY, C.BLUR, C.NOISE),), (), 3, 0.3, 2, 2))
 def test_sampled_plans_replay_to_themselves(case) -> None:
-    """Training replays each sampled plan: the replay must exist and rebuild the plan.
+    """Training uses the steps `sample_plan` records instead of replaying
+    each sampled plan, so those steps must equal the plan's replay.
 
-    The sampler filters tools by max_tools_per_branch and replay does
-    not, so the replay's action sets may be wider than the sampler's;
-    the chosen tokens must still be the ones that emit the plan.
+    The sampler draws from the action set under max_tools_per_branch but
+    records the uncapped set, which is what replay scores; at every cap
+    the replay must exist, match the recorded steps element by element,
+    and rebuild the plan.
     """
     category, chains, builder, table_seed, epsilon, max_tools, rng_seed = case
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
     policy = _case_policy(table_seed)
     cfg = SamplerConfig(max_tools_per_branch=max_tools)
     try:
-        plan = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
+        plan, recorded = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
     except NoFeasiblePlan:
         return
     steps = replay_steps(plan, task, _REGISTRY)
+    assert len(recorded) == len(steps)
+    for got, want in zip(recorded, steps):
+        assert got == want
     state = initial_state(task)
     for step in steps:
         assert step.chosen in step.actions
-        state = apply_action(state, step.chosen, task, _REGISTRY)
+        state = _act(state, step.chosen, task, _REGISTRY)
     assert state.done
     assert to_plan(state) == plan
 
@@ -508,7 +519,7 @@ def test_beam_and_sampler_return_only_valid_plans(beam_case, sample_case) -> Non
     policy = _case_policy(table_seed)
     cfg = SamplerConfig(max_tools_per_branch=max_tools)
     with contextlib.suppress(NoFeasiblePlan):
-        plan = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
+        plan, _ = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
         found.append((task, plan))
 
     for task, plan in found:
@@ -528,12 +539,34 @@ def test_random_legal_walks_complete_only_valid_plans(task, data) -> None:
     """Any walk of legal actions that completes gives a valid plan, at
     every per-branch tool cap: the invariant that lets `beam_search`
     and `sample_plan` hand out `to_plan` of a completed state unchecked.
+
+    On the way, each frontier's `uncapped` set is the cap-free frontier,
+    the cap removes exactly the single-input tools of a branch at its
+    cap, and END completes the plan when `completes` says so and
+    otherwise parks exactly the acting branch.
     """
     for cap in range(1, len(_REGISTRY) + 1):
         state = initial_state(task)
         while (frontier := step_frontier(state, task, _REGISTRY, cap)) is not None:
+            assert frontier.uncapped == step_frontier(state, task, _REGISTRY, len(_REGISTRY)).actions
+            acting = frontier.branch_index
+            expected = frontier.uncapped
+            if state.branches[acting].tool_count >= cap:
+                expected = tuple(
+                    a for a in expected if a == END_TOKEN or len(_REGISTRY.get(a).inputs) == 2
+                )
+            assert frontier.actions == expected
+            assert frontier.completes == (sum(not b.consumed for b in state.branches) < 2)
             token = data.draw(st.sampled_from(frontier.actions))
-            state = apply_action(state, token, task, _REGISTRY)
+            child = apply_action(state, frontier, token, _REGISTRY)
+            if token == END_TOKEN and frontier.completes:
+                assert child.done
+            elif token == END_TOKEN:
+                branches = list(state.branches)
+                branches[acting] = replace(branches[acting], parked=True)
+                assert not child.done
+                assert child.branches == tuple(branches)
+            state = child
         if state.done:
             plan = to_plan(state)
             assert validate_plan(plan, _REGISTRY, task.input_signature, task.output_modality).ok

@@ -210,7 +210,7 @@ def _relabel_cases(draw):
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
     state = initial_state(task)
     while (frontier := step_frontier(state, task, _REGISTRY, _CAP)) is not None:
-        state = apply_action(state, draw(st.sampled_from(frontier.actions)), task, _REGISTRY)
+        state = apply_action(state, frontier, draw(st.sampled_from(frontier.actions)), _REGISTRY)
     # A walk that dead-ends gives way to a one-tool plan, which may fail to run.
     plan = to_plan(state) if state.done else from_linear_sequence(["Text Summarization"], _REGISTRY)
     [sample] = task.dataset
@@ -266,7 +266,7 @@ def _walk_plans(task, count: int, seed: int) -> list[PlanGraph]:
     for _ in range(20 * count):
         state = initial_state(task)
         while (frontier := step_frontier(state, task, _REGISTRY, _CAP)) is not None:
-            state = apply_action(state, rng.choice(frontier.actions), task, _REGISTRY)
+            state = apply_action(state, frontier, rng.choice(frontier.actions), _REGISTRY)
         if state.done and to_plan(state) not in plans:
             plans.append(to_plan(state))
             if len(plans) == count:

@@ -7,11 +7,12 @@ from statistics import fmean
 
 import pytest
 
+import planforge.decoder
 import planforge.evalkit
 import planforge.policy
 import planforge.rltf
 from planforge.benchgen import CatalogConfig, build_task, generate_catalog, oracle_best_plan
-from planforge.decoder import DecoderConfig, replay_steps, sample_plan
+from planforge.decoder import DecoderConfig, expected_action, replay_steps, sample_plan
 from planforge.errors import NoFeasiblePlan
 from planforge.evalkit import task_reward
 from planforge.plan_ir import TaskCategory, from_linear_sequence, validate_plan
@@ -157,7 +158,7 @@ def _reference_train(params, tasks, registry, cfg):
             batch = []
             for _ in range(cfg.rollouts_per_task):
                 try:
-                    plan = sample_plan(
+                    plan, _ = sample_plan(
                         TabularPolicy(current), task, registry, cfg.sampling, rng, epsilon
                     )
                 except NoFeasiblePlan:
@@ -215,11 +216,14 @@ def test_training_matches_the_reference_loop(small_split, registry) -> None:
     assert history == expected_history
 
 
-def test_training_executes_and_replays_each_distinct_episode_once(
+def test_training_executes_each_distinct_episode_once_and_never_replays(
     small_split, registry, monkeypatch
 ) -> None:
+    """Rollouts carry the steps the sampler recorded: `train` executes
+    each distinct sampled plan once and replays none. Counting
+    `decoder.expected_action` catches a replay made from any module."""
     tasks, golds = small_split
-    executed, replayed, sampled = [], [], []
+    executed, replayed, sampled, expected = [], [], [], []
 
     def counting(calls, fn):
         def wrapper(plan, task, *args):
@@ -229,9 +233,13 @@ def test_training_executes_and_replays_each_distinct_episode_once(
         return wrapper
 
     def recording_sample(policy, task, *args):
-        plan = sample_plan(policy, task, *args)
+        plan, steps = sample_plan(policy, task, *args)
         sampled.append((task.id, plan))
-        return plan
+        return plan, steps
+
+    def counting_expected(*args):
+        expected.append(args)
+        return expected_action(*args)
 
     monkeypatch.setattr(planforge.policy, "replay_steps", counting(replayed, replay_steps))
     assert pretrain_supervised(PolicyParams(), golds, registry, 0).values == {}
@@ -242,10 +250,11 @@ def test_training_executes_and_replays_each_distinct_episode_once(
     monkeypatch.setattr(
         planforge.evalkit, "sample_scores", counting(executed, planforge.evalkit.sample_scores)
     )
-    monkeypatch.setattr(planforge.rltf, "replay_steps", counting(replayed, replay_steps))
+    monkeypatch.setattr(planforge.decoder, "expected_action", counting_expected)
     monkeypatch.setattr(planforge.rltf, "sample_plan", recording_sample)
     replayed.clear()
     train(params, tasks, registry, TrainConfig(epochs=4, rollouts_per_task=4, epsilon=0.3))
     assert len(sampled) > len(set(sampled))
     assert Counter(executed) == Counter(set(sampled))
-    assert Counter(replayed) == Counter(set(sampled))
+    assert replayed == []
+    assert expected == []
