@@ -99,34 +99,18 @@ TEXT_CHAINS: tuple[Chain, ...] = (
 _TEXT_STEP_POOL = (SemanticId.SUMMARIZE, SemanticId.SENTIMENT, SemanticId.TRANSLATE_EN_DE)
 
 
-def _image_chains(lengths: set[int]) -> list[Chain]:
-    """Ordered duplicate-free image corruption chains of the given lengths."""
+def _sequences(pool: tuple, lengths: set[int]) -> list[tuple]:
+    """Ordered duplicate-free sequences over the pool, of the given lengths."""
     top = max(lengths) if lengths else 0
-    out: list[Chain] = []
+    out: list[tuple] = []
 
-    def grow(prefix: tuple[Corruption, ...]) -> None:
+    def grow(prefix: tuple) -> None:
         if len(prefix) in lengths:
             out.append(prefix)
         if len(prefix) < top:
-            for kind in IMAGE_CORRUPTIONS:
-                if kind not in prefix:
-                    grow(prefix + (kind,))
-
-    grow(())
-    return out
-
-
-def _sem_seqs(lengths: set[int]) -> list[tuple[SemanticId, ...]]:
-    top = max(lengths) if lengths else 0
-    out: list[tuple[SemanticId, ...]] = []
-
-    def grow(prefix: tuple[SemanticId, ...]) -> None:
-        if len(prefix) in lengths:
-            out.append(prefix)
-        if len(prefix) < top:
-            for sem in _TEXT_STEP_POOL:
-                if sem not in prefix:
-                    grow(prefix + (sem,))
+            for item in pool:
+                if item not in prefix:
+                    grow(prefix + (item,))
 
     grow(())
     return out
@@ -143,38 +127,38 @@ def category_space(category: TaskCategory, cfg: CatalogConfig) -> list[Combo]:
     combos: list[Combo] = []
     if category is TaskCategory.IMAGE_TO_IMAGE:
         lengths = {n for n in (3, 4) if n <= cfg.max_chain_length}
-        combos = [((chain,), ()) for chain in _image_chains(lengths)]
+        combos = [((chain,), ()) for chain in _sequences(IMAGE_CORRUPTIONS, lengths)]
     elif category is TaskCategory.IMAGE_TO_TEXT:
         # Duplicate-free image chains are at most len(IMAGE_CORRUPTIONS) long.
         lengths = set(range(1, min(cfg.max_chain_length, len(IMAGE_CORRUPTIONS)) + 1))
         combos = [
             ((chain,), (terminal,))
-            for chain in _image_chains(lengths)
+            for chain in _sequences(IMAGE_CORRUPTIONS, lengths)
             for terminal in (SemanticId.CLASSIFY, SemanticId.DETECT, SemanticId.CAPTION)
         ]
     elif category is TaskCategory.TEXT_TO_IMAGE:
         combos = [
             ((chain,), pre + (SemanticId.GENERATE,))
             for chain in TEXT_CHAINS
-            for pre in _sem_seqs({1, 2})
+            for pre in _sequences(_TEXT_STEP_POOL, {1, 2})
             if not _translate_conflict((chain,), pre)
         ]
     elif category is TaskCategory.TEXT_TO_TEXT:
         combos = [
             ((chain,), builder)
             for chain in TEXT_CHAINS
-            for builder in _sem_seqs({0, 1, 2})
+            for builder in _sequences(_TEXT_STEP_POOL, {0, 1, 2})
             if not _translate_conflict((chain,), builder)
             and len(chain) + len(builder) >= 2
         ]
     elif category is TaskCategory.IMAGE_TEXT_TO_TEXT:
-        image_chains = _image_chains({1, 2})
+        image_chains = _sequences(IMAGE_CORRUPTIONS, {1, 2})
         combos = [
             ((ichain, tchain), (SemanticId.VQA,) + post)
             for ichain in image_chains
             for tchain in TEXT_CHAINS
             if len(tchain) <= len(ichain)
-            for post in _sem_seqs({0, 1, 2})
+            for post in _sequences(_TEXT_STEP_POOL, {0, 1, 2})
             if not _translate_conflict((ichain, tchain), post)
         ]
     elif category is TaskCategory.TEXT_TEXT_TO_TEXT:
@@ -189,7 +173,7 @@ def category_space(category: TaskCategory, cfg: CatalogConfig) -> list[Combo]:
         combos = [
             ((c0, c1), (SemanticId.QA,) + post)
             for c0, c1 in pairs
-            for post in _sem_seqs({0, 1, 2})
+            for post in _sequences(_TEXT_STEP_POOL, {0, 1, 2})
             if not _translate_conflict((c0, c1), post)
             and len(c0) + len(c1) + 1 + len(post) >= 2
         ]

@@ -67,8 +67,12 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    """Write an output file; a path that cannot be created or written is an EngineError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise EngineError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_text(path: str, what: str) -> str:
@@ -193,12 +197,8 @@ def _cmd_exec(args, cfg: EngineConfig) -> int:
         return 2
     results = execute_task(plan, task, registry, cfg.sim)
     records = [trace_record(task.id, plan, score, trace) for trace, score in results]
-    trace_path = out / "trace.jsonl"
-    trace_path.parent.mkdir(parents=True, exist_ok=True)
-    trace_path.write_text(
-        "".join(json.dumps(record, sort_keys=True) + "\n" for record in records),
-        encoding="utf-8",
-    )
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    _write_text(out / "trace.jsonl", text)
     mean = fmean(score for _, score in results)
     print(f"{task.id}: mean score {mean:.6f} over {len(results)} samples")
     return 0

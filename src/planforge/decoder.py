@@ -83,10 +83,8 @@ class SamplerConfig:
 
 @dataclass(frozen=True, slots=True)
 class BranchState:
-    root_input: int
     head: int | None
     modality: Modality
-    prev_tool: str
     tool_count: int
     parked: bool
     consumed: bool
@@ -96,23 +94,12 @@ class BranchState:
 @dataclass(frozen=True, slots=True)
 class BeamState:
     branches: tuple[BranchState, ...]
-    used: frozenset[str]
+    used: frozenset[str]  # tools in nodes, kept so no frontier rebuilds the set
     nodes: tuple[PlanNode, ...]
-    next_id: int
     log_prob: float
     rr: int
     done: bool
-    path: tuple[str, ...]
-    output_node: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class StepView:
-    """What a policy may look at besides the context string fields."""
-
-    task: TaskSpec
-    state: BeamState
-    branch_index: int
+    path: tuple[str, ...]  # tokens emitted, the beam's tie-break
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,18 +125,18 @@ class DecodedPlan:
 
 
 class Policy(Protocol):
+    """Normalized log-probabilities over a step's actions, given the state it extends."""
+
     def score_step(
-        self, ctx: Context, actions: Sequence[str], view: StepView
+        self, ctx: Context, actions: Sequence[str], state: BeamState
     ) -> dict[str, float]: ...
 
 
 def initial_state(task: TaskSpec) -> BeamState:
     branches = tuple(
         BranchState(
-            root_input=i,
             head=None,
             modality=modality,
-            prev_tool=BOS,
             tool_count=0,
             parked=False,
             consumed=False,
@@ -161,7 +148,6 @@ def initial_state(task: TaskSpec) -> BeamState:
         branches=branches,
         used=frozenset(),
         nodes=(),
-        next_id=0,
         log_prob=0.0,
         rr=0,
         done=False,
@@ -169,10 +155,10 @@ def initial_state(task: TaskSpec) -> BeamState:
     )
 
 
-def head_ref(branch: BranchState) -> InputRef:
-    if branch.head is None:
-        return TaskInput(branch.root_input)
-    return NodeOutput(branch.head)
+def head_ref(state: BeamState, index: int) -> InputRef:
+    """Branch `index`'s next input: task input `index` until it emits (branches never move)."""
+    head = state.branches[index].head
+    return TaskInput(index) if head is None else NodeOutput(head)
 
 
 def _active_index(state: BeamState) -> int | None:
@@ -229,9 +215,10 @@ def step_frontier(
     actions = uncapped if branch.tool_count < max_tools_per_branch else tuple(sorted(joins)) + end
     if not actions:
         return None
+    # Node i has id i, so a branch's head names its last tool.
     ctx = Context(
         task_category=task.category.value,
-        prev_tool=branch.prev_tool,
+        prev_tool=BOS if branch.head is None else state.nodes[branch.head].tool,
         branch_modality=branch.modality.value,
         hint=hint_token(branch.hint, task.reference_builder),
     )
@@ -241,8 +228,7 @@ def step_frontier(
 def _flagged(branch: BranchState, parked: bool, consumed: bool) -> BranchState:
     """The branch with new flags; `dataclasses.replace` would introspect fields per call."""
     return BranchState(
-        branch.root_input, branch.head, branch.modality, branch.prev_tool,
-        branch.tool_count, parked, consumed, branch.hint,
+        branch.head, branch.modality, branch.tool_count, parked, consumed, branch.hint
     )
 
 
@@ -258,58 +244,56 @@ def apply_action(
     branch = state.branches[acting]
     branches = list(state.branches)
     rr = (acting + 1) % len(branches)
-    used, nodes, next_id = state.used, state.nodes, state.next_id
-    done, output_node = state.done, state.output_node
+    used, nodes, done = state.used, state.nodes, state.done
 
     if token == END_TOKEN:
         if frontier.completes:
-            done, output_node, rr = True, branch.head, state.rr
+            done, rr = True, state.rr
         else:
             branches[acting] = _flagged(branch, True, branch.consumed)
     else:
         spec = registry.get(token)
         if len(spec.inputs) == 1:
-            refs = (head_ref(branch),)
+            refs = (head_ref(state, acting),)
             hint = advance_hint(branch.hint, spec.semantic)
             tool_count = branch.tool_count + 1
         else:
             partner_idx = _partner_index(state, acting, spec.inputs[1])
             partner = branches[partner_idx]
-            refs = (head_ref(branch), head_ref(partner))
+            refs = (head_ref(state, acting), head_ref(state, partner_idx))
             hint = advance_hint(merge_hint_states(branch.hint, partner.hint), spec.semantic)
             # The merged branch continues in the proposer's slot with a fresh
             # tool budget; the join itself does not count against any cap.
             tool_count = 0
             branches[partner_idx] = _flagged(partner, partner.parked, True)
         branches[acting] = BranchState(
-            root_input=branch.root_input,
-            head=next_id,
+            head=len(nodes),
             modality=spec.output,
-            prev_tool=token,
             tool_count=tool_count,
             parked=False,
             consumed=False,
             hint=hint,
         )
-        used, nodes, next_id = used | {token}, nodes + (PlanNode(next_id, token, refs),), next_id + 1
+        used, nodes = used | {token}, nodes + (PlanNode(len(nodes), token, refs),)
 
     return BeamState(
         branches=tuple(branches),
         used=used,
         nodes=nodes,
-        next_id=next_id,
         log_prob=state.log_prob + lp_delta,
         rr=rr,
         done=done,
         path=state.path + (token,),
-        output_node=output_node,
     )
 
 
 def to_plan(state: BeamState) -> PlanGraph:
-    if not state.done or state.output_node is None:
+    """The plan of a completed state. END completes only when one unconsumed
+    branch is left and has emitted, so that branch's head is the output."""
+    if not state.done:
         raise InvalidPlan("state is not a completed plan")
-    return PlanGraph(nodes=state.nodes, output_node=state.output_node)
+    (output,) = (b.head for b in state.branches if not b.consumed)
+    return PlanGraph(nodes=state.nodes, output_node=output)
 
 
 def _step_cap(task: TaskSpec, registry: ToolRegistry) -> int:
@@ -350,9 +334,7 @@ def beam_search(
             frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
             if frontier is None:
                 continue
-            scores = policy.score_step(
-                frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
-            )
+            scores = policy.score_step(frontier.context, frontier.actions, state)
             for token in frontier.actions:
                 delta = scores[token]
                 if token == END_TOKEN and frontier.completes:
@@ -447,12 +429,10 @@ def sample_plan(
             frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
             if frontier is None:
                 break
-            scores = policy.score_step(
-                frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
-            )
+            scores = policy.score_step(frontier.context, frontier.actions, state)
             token = _draw(scores, frontier.actions, cfg, rng, epsilon)
             steps.append(ReplayStep(frontier.context, frontier.uncapped, token))
-            state = apply_action(state, frontier, token, registry, lp_delta=scores[token])
+            state = apply_action(state, frontier, token, registry)
         if state.done:
             return to_plan(state), steps
     raise NoFeasiblePlan(f"sampling kept dead-ending on {task.id}")
@@ -468,16 +448,18 @@ def _map_ref(ref: InputRef, id_map: dict[int, int]) -> InputRef | None:
 def expected_action(
     registry: ToolRegistry,
     state: BeamState,
-    branch_index: int,
     target: PlanGraph,
 ) -> str | None:
-    """The action that continues the state toward the target plan.
+    """The action the state's acting branch takes toward the target plan.
 
-    Returns None when the state is not a partial canonical decoding of
-    the target. Matching is structural: tools are unique within a plan,
-    so nodes pair up by tool name and references must agree after id
-    translation.
+    Returns None when the state has no acting branch or is not a partial
+    canonical decoding of the target. Matching is structural: tools are
+    unique within a plan, so nodes pair up by tool name and references
+    must agree after id translation.
     """
+    branch_index = _active_index(state)
+    if branch_index is None:
+        return None
     target_by_tool = {node.tool: node for node in target.nodes}
     if len(target_by_tool) != len(target.nodes):
         return None
@@ -492,10 +474,8 @@ def expected_action(
             return None
         id_map[node.id] = match.id
 
-    emitted = {node.tool for node in state.nodes}
-    remaining = [node for node in target.nodes if node.tool not in emitted]
-    branch = state.branches[branch_index]
-    mapped_head = _map_ref(head_ref(branch), id_map)
+    remaining = [node for node in target.nodes if node.tool not in state.used]
+    mapped_head = _map_ref(head_ref(state, branch_index), id_map)
     if mapped_head is None:
         return None
 
@@ -510,7 +490,7 @@ def expected_action(
             )
             if partner_idx is None:
                 return None
-            partner_head = _map_ref(head_ref(state.branches[partner_idx]), id_map)
+            partner_head = _map_ref(head_ref(state, partner_idx), id_map)
             if partner_head != node.input_refs[1]:
                 return None
         return node.tool
@@ -543,7 +523,7 @@ def replay_steps(
         frontier = step_frontier(state, task, registry, len(registry))
         if frontier is None:
             raise InvalidPlan("decoding dead-ends before the plan completes")
-        token = expected_action(registry, state, frontier.branch_index, plan)
+        token = expected_action(registry, state, plan)
         if token is None or token not in frontier.actions:
             raise InvalidPlan("plan is not reachable by canonical decoding")
         steps.append(ReplayStep(frontier.context, frontier.actions, token))

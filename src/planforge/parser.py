@@ -43,7 +43,8 @@ def _name_pattern(registry: ToolRegistry) -> re.Pattern:
 def extract_sequence(text: str, registry: ToolRegistry) -> ExtractionResult:
     """Ordered registry names found in the text, plus what was rejected."""
     canonical = {name.lower(): name for name in registry.names()}
-    matches = list(_name_pattern(registry).finditer(text))
+    # With no names the alternation would be empty and match everywhere.
+    matches = list(_name_pattern(registry).finditer(text)) if canonical else []
 
     sequence: list[str] = []
     for match in matches:

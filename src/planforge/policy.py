@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .context import Context, context_from_json, context_levels, context_to_json
-from .decoder import ReplayStep, StepView, expected_action, replay_steps
+from .decoder import BeamState, ReplayStep, expected_action, replay_steps
 from .errors import EmptyAllowedSet, PeerProtocolError, reading
 from .plan_ir import PlanGraph, TaskSpec
 from .registry import ToolRegistry
@@ -178,7 +178,7 @@ def params_from_json(doc: dict) -> PolicyParams:
 class TabularPolicy:
     """Scores steps from a parameter table, memoised per (context, actions).
 
-    The scores never depend on the view, so each distinct step is scored
+    The scores never depend on the state, so each distinct step is scored
     once. The params must not change while the policy is in use, and the
     returned score dicts are shared between calls: treat them as read-only.
     """
@@ -188,7 +188,7 @@ class TabularPolicy:
         self._memo: dict[tuple[Context, tuple[str, ...]], dict[str, float]] = {}
 
     def score_step(
-        self, ctx: Context, actions: Sequence[str], view: StepView
+        self, ctx: Context, actions: Sequence[str], state: BeamState
     ) -> dict[str, float]:
         key = (ctx, tuple(actions))
         scores = self._memo.get(key)
@@ -199,7 +199,7 @@ class TabularPolicy:
 
 class UniformPolicy:
     def score_step(
-        self, ctx: Context, actions: Sequence[str], view: StepView
+        self, ctx: Context, actions: Sequence[str], state: BeamState
     ) -> dict[str, float]:
         if not actions:
             raise EmptyAllowedSet("no tokens to score")
@@ -208,7 +208,7 @@ class UniformPolicy:
 
 
 class GuidedPlanPolicy:
-    """Boosts whichever action continues toward a fixed target plan.
+    """Boosts the action the state's acting branch takes toward a fixed target plan.
 
     Off the canonical path it falls back to uniform scores, so beam
     search under this policy ranks the target first when the target is
@@ -221,11 +221,11 @@ class GuidedPlanPolicy:
         self.strength = strength
 
     def score_step(
-        self, ctx: Context, actions: Sequence[str], view: StepView
+        self, ctx: Context, actions: Sequence[str], state: BeamState
     ) -> dict[str, float]:
         if not actions:
             raise EmptyAllowedSet("no tokens to score")
-        token = expected_action(self.registry, view.state, view.branch_index, self.plan)
+        token = expected_action(self.registry, state, self.plan)
         logits = {a: self.strength if a == token else 0.0 for a in actions}
         return _log_softmax(logits, actions)
 
@@ -245,7 +245,7 @@ class RemotePolicy:
         self.transport = transport
 
     def score_step(
-        self, ctx: Context, actions: Sequence[str], view: StepView
+        self, ctx: Context, actions: Sequence[str], state: BeamState
     ) -> dict[str, float]:
         if not actions:
             raise EmptyAllowedSet("no tokens to score")

@@ -88,7 +88,7 @@ class _SeededPolicy:
     def __init__(self, seed: int) -> None:
         self.seed = seed
 
-    def score_step(self, ctx, actions, view):
+    def score_step(self, ctx, actions, state):
         logits = {}
         for action in actions:
             raw = f"{self.seed}|{ctx}|{action}".encode()

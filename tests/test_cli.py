@@ -202,6 +202,29 @@ def test_unreadable_input_file_is_an_engine_error(ws, tmp_path, capsys, command)
     assert str(missing if "{missing}" in command else garbled) in error["message"]
 
 
+@pytest.mark.parametrize("command", ["gen", "exec"])
+def test_unwritable_out_is_a_one_line_engine_error(ws, tmp_path, capsys, command) -> None:
+    """`--out` naming a file, or a directory under one, fails before any write."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    if command == "gen":
+        out, argv = blocker, ["gen"]
+    else:
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(
+            json.dumps({"nodes": [{"id": 0, "tool": "Colorization", "inputs": [{"task": 0}]}], "output": 0})
+        )
+        out = blocker / "sub"
+        argv = ["exec", "--catalog", str(ws["catalog"]), "--task", "ii-000", "--plan", str(plan_file)]
+    assert main(ws["base"][:2] + ["--out", str(out)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "EngineError"
+    assert error["message"].startswith(f"cannot write {out}")
+    assert blocker.read_text() == "a file, not a directory"
+
+
 def _with_quality(catalog: list, quality) -> list:
     catalog[0]["dataset"][0]["inputs"][0]["quality"] = quality
     return catalog
@@ -358,6 +381,21 @@ def test_missing_registry_file_is_an_engine_error(tmp_path, capsys) -> None:
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "EngineError"
     assert str(missing) in error["message"]
+
+
+def test_parse_with_an_empty_registry_finds_no_tools(tmp_path, capsys) -> None:
+    registry = tmp_path / "registry.json"
+    registry.write_text("[]")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"registry": str(registry)}))
+    code = main(["--config", str(config), "parse", "--text", "module: Foo Bar, then Fill Mask"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sequence"] == []
+    assert doc["dropped"] == [
+        {"reason": "not in registry", "text": "Foo Bar"},
+        {"reason": "not in registry", "text": "Fill Mask"},
+    ]
 
 
 # `planforge oracle` rows on a small seeded catalog: four one-input tasks

@@ -17,11 +17,10 @@ from planforge.benchgen import (
     oracle_best_plan,
     required_oracle_depth,
 )
-from planforge.context import END_TOKEN
+from planforge.context import BOS, END_TOKEN
 from planforge.decoder import (
     DecoderConfig,
     SamplerConfig,
-    StepView,
     _step_cap,
     allowed_tokens,
     apply_action,
@@ -288,9 +287,7 @@ def _reference_beam(policy, task, registry, cfg) -> list[tuple[str, float]]:
             frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
             if frontier is None:
                 continue
-            scores = policy.score_step(
-                frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
-            )
+            scores = policy.score_step(frontier.context, frontier.actions, state)
             for token in frontier.actions:
                 child = apply_action(state, frontier, token, registry, lp_delta=scores[token])
                 if child.done:
@@ -384,9 +381,7 @@ def test_branch_flags_name_the_consumed_task_inputs(case) -> None:
             frontier = step_frontier(state, task, _REGISTRY, cfg.max_tools_per_branch)
             if frontier is None:
                 continue
-            scores = policy.score_step(
-                frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
-            )
+            scores = policy.score_step(frontier.context, frontier.actions, state)
             for token in frontier.actions:
                 child = apply_action(state, frontier, token, _REGISTRY, lp_delta=scores[token])
                 from_nodes = {
@@ -396,7 +391,7 @@ def test_branch_flags_name_the_consumed_task_inputs(case) -> None:
                     if isinstance(ref, TaskInput)
                 }
                 from_flags = {
-                    b.root_input for b in child.branches if b.head is not None or b.consumed
+                    i for i, b in enumerate(child.branches) if b.head is not None or b.consumed
                 }
                 assert from_nodes == from_flags
                 if not child.done:
@@ -544,12 +539,22 @@ def test_random_legal_walks_complete_only_valid_plans(task, data) -> None:
     the cap removes exactly the single-input tools of a branch at its
     cap, and END completes the plan when `completes` says so and
     otherwise parks exactly the acting branch.
+
+    The state keeps no previous tool, node counter or output node; it
+    derives them. So the walk keeps its own record of each branch slot's
+    last tool and node (a join continues in the proposer's slot) and
+    checks the context's `prev_tool`, that node i has id i, and that a
+    completed plan outputs the completing branch's last node.
     """
     for cap in range(1, len(_REGISTRY) + 1):
         state = initial_state(task)
+        last_tool = [BOS] * len(state.branches)
+        last_node: list[int | None] = [None] * len(state.branches)
+        emitted = 0
         while (frontier := step_frontier(state, task, _REGISTRY, cap)) is not None:
             assert frontier.uncapped == step_frontier(state, task, _REGISTRY, len(_REGISTRY)).actions
             acting = frontier.branch_index
+            assert frontier.context.prev_tool == last_tool[acting]
             expected = frontier.uncapped
             if state.branches[acting].tool_count >= cap:
                 expected = tuple(
@@ -561,11 +566,17 @@ def test_random_legal_walks_complete_only_valid_plans(task, data) -> None:
             child = apply_action(state, frontier, token, _REGISTRY)
             if token == END_TOKEN and frontier.completes:
                 assert child.done
+                assert last_node[acting] is not None
+                assert to_plan(child).output_node == last_node[acting]
             elif token == END_TOKEN:
                 branches = list(state.branches)
                 branches[acting] = replace(branches[acting], parked=True)
                 assert not child.done
                 assert child.branches == tuple(branches)
+            else:
+                last_tool[acting], last_node[acting] = token, emitted
+                emitted += 1
+            assert [node.id for node in child.nodes] == list(range(emitted))
             state = child
         if state.done:
             plan = to_plan(state)
@@ -597,7 +608,7 @@ class _UnmemoisedPolicy:
     def __init__(self, params: PolicyParams) -> None:
         self.params = params
 
-    def score_step(self, ctx, actions, view):
+    def score_step(self, ctx, actions, state):
         return score_tokens(self.params, ctx, actions)
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from planforge.benchgen import oracle_best_plan, required_oracle_depth
 from planforge.context import Context, context_levels, context_to_json
-from planforge.decoder import DecoderConfig, StepView, beam_search, initial_state, replay_steps
+from planforge.decoder import DecoderConfig, beam_search, initial_state, replay_steps
 from planforge.errors import EmptyAllowedSet, EngineError, PeerProtocolError
 from planforge.policy import (
     GuidedPlanPolicy,
@@ -195,9 +195,7 @@ def test_guided_policy_argmax_is_the_target_step(catalog, registry) -> None:
     from planforge.decoder import step_frontier
 
     frontier = step_frontier(state, task, registry, DecoderConfig().max_tools_per_branch)
-    scores = policy.score_step(
-        frontier.context, frontier.actions, StepView(task, state, frontier.branch_index)
-    )
+    scores = policy.score_step(frontier.context, frontier.actions, state)
     assert max(scores, key=scores.get) == gold.nodes[0].tool
 
 
