@@ -14,7 +14,6 @@ shared backoff level where the previous tool is wildcarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .simkit import RESTORES, Corruption, SemanticId
@@ -58,8 +57,7 @@ def context_from_json(doc: dict) -> Context:
     return ctx
 
 
-@dataclass(frozen=True, slots=True)
-class HintState:
+class HintState(NamedTuple):
     """Mirror of the corruption stack plus a cursor into the recipe."""
 
     remaining: tuple[Corruption, ...]
@@ -93,8 +91,10 @@ def merge_hint_states(a: HintState, b: HintState) -> HintState:
 
 
 def hint_token(state: HintState, recipe: tuple[SemanticId, ...]) -> str:
+    # `_value_` is the member's plain str; the `.value` property costs a
+    # descriptor call per read.
     if state.remaining:
-        return f"fix:{state.remaining[-1].value}"
+        return "fix:" + state.remaining[-1]._value_
     if state.terminals_done < len(recipe):
-        return f"term:{recipe[state.terminals_done].value}"
+        return "term:" + recipe[state.terminals_done]._value_
     return "end"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .context import (
     BOS,
@@ -81,8 +81,9 @@ class SamplerConfig:
             raise ValueError("top_p must be in (0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
-class BranchState:
+# Decoder states are tuples: immutable like frozen dataclasses, but built
+# and read in C, which is most of a beam step's cost.
+class BranchState(NamedTuple):
     head: int | None
     modality: Modality
     tool_count: int
@@ -91,8 +92,7 @@ class BranchState:
     hint: HintState
 
 
-@dataclass(frozen=True, slots=True)
-class BeamState:
+class BeamState(NamedTuple):
     branches: tuple[BranchState, ...]
     used: frozenset[str]  # tools in nodes, kept so no frontier rebuilds the set
     nodes: tuple[PlanNode, ...]
@@ -102,8 +102,7 @@ class BeamState:
     path: tuple[str, ...]  # tokens emitted, the beam's tie-break
 
 
-@dataclass(frozen=True, slots=True)
-class StepFrontier:
+class StepFrontier(NamedTuple):
     branch_index: int
     context: Context
     actions: tuple[str, ...]
@@ -111,8 +110,7 @@ class StepFrontier:
     completes: bool  # one unconsumed branch left: END completes the plan, not parks
 
 
-@dataclass(frozen=True, slots=True)
-class ReplayStep:
+class ReplayStep(NamedTuple):
     context: Context
     actions: tuple[str, ...]
     chosen: str
@@ -191,11 +189,19 @@ def step_frontier(
     acting = _active_index(state)
     if acting is None:
         return None
-    branch = state.branches[acting]
-    unconsumed = sum(1 for b in state.branches if not b.consumed)
+    branches, used = state.branches, state.used
+    branch = branches[acting]
+    # Branch i reads task input i with its first tool or as a join's head,
+    # so a live branch that has not emitted still owes its input.
+    unconsumed, unread = 0, False
+    for b in branches:
+        if not b.consumed:
+            unconsumed += 1
+            if b.head is None:
+                unread = True
 
     tools, joins = [], []
-    for spec in compatible_successors(registry, branch.modality, state.used):
+    for spec in compatible_successors(registry, branch.modality, used):
         if len(spec.inputs) == 1:
             tools.append(spec.name)
         elif unconsumed >= 2 and _partner_index(state, acting, spec.inputs[1]) is not None:
@@ -203,30 +209,34 @@ def step_frontier(
 
     if unconsumed >= 2:
         # Parking only helps if some future join could take this head.
-        end_ok = any(name not in state.used for name in registry.joins_into(branch.modality))
+        end_ok = not used.issuperset(registry.joins_into(branch.modality))
     else:
-        # Branch i reads task input i with its first tool or as a join's head.
-        end_ok = branch.modality is task.output_modality and all(
-            b.head is not None or b.consumed for b in state.branches
-        )
+        end_ok = branch.modality is task.output_modality and not unread
 
-    end = (END_TOKEN,) if end_ok else ()
-    uncapped = tuple(sorted(tools + joins)) + end
-    actions = uncapped if branch.tool_count < max_tools_per_branch else tuple(sorted(joins)) + end
+    names = tools + joins
+    names.sort()
+    if end_ok:
+        names.append(END_TOKEN)
+    uncapped = tuple(names)
+    if branch.tool_count < max_tools_per_branch:
+        actions = uncapped
+    else:
+        actions = tuple([a for a in uncapped if a not in tools])
     if not actions:
         return None
-    # Node i has id i, so a branch's head names its last tool.
+    # Node i has id i, so a branch's head names its last tool. `_value_`
+    # reads the member's plain str without the `.value` property's call.
     ctx = Context(
-        task_category=task.category.value,
-        prev_tool=BOS if branch.head is None else state.nodes[branch.head].tool,
-        branch_modality=branch.modality.value,
-        hint=hint_token(branch.hint, task.reference_builder),
+        task.category._value_,
+        BOS if branch.head is None else state.nodes[branch.head].tool,
+        branch.modality._value_,
+        hint_token(branch.hint, task.reference_builder),
     )
     return StepFrontier(acting, ctx, actions, uncapped, unconsumed < 2)
 
 
 def _flagged(branch: BranchState, parked: bool, consumed: bool) -> BranchState:
-    """The branch with new flags; `dataclasses.replace` would introspect fields per call."""
+    """The branch with new flags; `_replace` is slower Python code."""
     return BranchState(
         branch.head, branch.modality, branch.tool_count, parked, consumed, branch.hint
     )
@@ -266,24 +276,12 @@ def apply_action(
             # tool budget; the join itself does not count against any cap.
             tool_count = 0
             branches[partner_idx] = _flagged(partner, partner.parked, True)
-        branches[acting] = BranchState(
-            head=len(nodes),
-            modality=spec.output,
-            tool_count=tool_count,
-            parked=False,
-            consumed=False,
-            hint=hint,
-        )
+        # Positional arguments: keywords slow the tuple constructor down.
+        branches[acting] = BranchState(len(nodes), spec.output, tool_count, False, False, hint)
         used, nodes = used | {token}, nodes + (PlanNode(len(nodes), token, refs),)
 
     return BeamState(
-        branches=tuple(branches),
-        used=used,
-        nodes=nodes,
-        log_prob=state.log_prob + lp_delta,
-        rr=rr,
-        done=done,
-        path=state.path + (token,),
+        tuple(branches), used, nodes, state.log_prob + lp_delta, rr, done, state.path + (token,)
     )
 
 
@@ -313,8 +311,9 @@ def beam_search(
     ``(-log_prob, path)`` orders their children totally, and a child's
     key follows from its parent and token alone. Each step therefore
     ranks every (state, token) candidate first and builds only the
-    ``beam_size`` survivors. An end token that completes a plan is
-    built at once, since finished plans are never pruned.
+    ``beam_size`` survivors. An end token that completes a plan becomes
+    its plan at once, with no child state, since finished plans are
+    never pruned.
 
     Finished plans are well-formed by construction, and distinct paths
     give distinct plans (each node's id and first input fix the token
@@ -338,9 +337,10 @@ def beam_search(
             for token in frontier.actions:
                 delta = scores[token]
                 if token == END_TOKEN and frontier.completes:
-                    child = apply_action(state, frontier, token, registry, lp_delta=delta)
-                    plan = to_plan(child)
-                    finished.append((plan_hash(plan), DecodedPlan(plan, child.log_prob)))
+                    # `to_plan` of the completed child: the acting branch
+                    # is the one unconsumed branch left.
+                    plan = PlanGraph(state.nodes, state.branches[frontier.branch_index].head)
+                    finished.append((plan_hash(plan), DecodedPlan(plan, state.log_prob + delta)))
                 else:
                     # Parent paths have equal length, so (path, token)
                     # sorts like the child's path + (token,).

@@ -21,6 +21,7 @@ from .simkit import (
     Modality,
     Payload,
     SemanticId,
+    member_of,
     payload_from_json,
     payload_to_json,
 )
@@ -387,7 +388,7 @@ def sample_to_json(sample: Sample) -> dict:
 
 def sample_from_json(doc: dict) -> Sample:
     return Sample(
-        inputs=tuple(payload_from_json(p) for p in doc["inputs"]),
+        inputs=tuple([payload_from_json(p) for p in doc["inputs"]]),
         reference=payload_from_json(doc["reference"]),
     )
 
@@ -418,15 +419,15 @@ def task_from_json(doc: dict) -> TaskSpec:
         task = TaskSpec(
             id=doc["id"],
             description=doc["description"],
-            category=TaskCategory(doc["category"]),
-            input_signature=tuple(Modality(m) for m in doc["input_signature"]),
-            output_modality=Modality(doc["output_modality"]),
+            category=member_of(TaskCategory, doc["category"]),
+            input_signature=tuple(member_of(Modality, m) for m in doc["input_signature"]),
+            output_modality=member_of(Modality, doc["output_modality"]),
             corruption_chains=tuple(
-                tuple(Corruption(c) for c in chain) for chain in doc["corruption_chains"]
+                tuple(member_of(Corruption, c) for c in chain) for chain in doc["corruption_chains"]
             ),
-            reference_builder=tuple(SemanticId(s) for s in doc["reference_builder"]),
-            metric_slot=MetricSlot(doc["metric_slot"]),
-            dataset=tuple(sample_from_json(s) for s in doc["dataset"]),
+            reference_builder=tuple(member_of(SemanticId, s) for s in doc["reference_builder"]),
+            metric_slot=member_of(MetricSlot, doc["metric_slot"]),
+            dataset=tuple([sample_from_json(s) for s in doc["dataset"]]),
         )
         arity = len(task.input_signature)
         if arity not in (1, 2):

@@ -127,7 +127,7 @@ def compatible_successors(
     Order follows the registry. Second slots of two-input tools do not
     count here; they are only reachable through joins.
     """
-    return tuple(spec for spec in registry._first_slot[modality] if spec.name not in used)
+    return tuple([spec for spec in registry._first_slot[modality] if spec.name not in used])
 
 
 def registry_to_json(registry: ToolRegistry) -> list[dict]:
@@ -144,6 +144,8 @@ def registry_to_json(registry: ToolRegistry) -> list[dict]:
 
 def registry_from_json(docs: list[dict]) -> ToolRegistry:
     with reading("registry"):
+        if not isinstance(docs, list):
+            raise TypeError(f"registry must be a JSON list, got {type(docs).__name__}")
         return ToolRegistry(
             tuple(
                 ToolSpec(

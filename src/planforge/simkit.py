@@ -25,6 +25,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from typing import TypeVar
 
 from .errors import (
     ArityMismatch,
@@ -133,6 +134,8 @@ TRANSLATE_OP = "de"
 
 # Every op label a tool can wrap around an expr.
 TOOL_OPS = frozenset(TRANSFORM_OPS.values()) | {TRANSLATE_OP}
+
+E = TypeVar("E", bound=Enum)
 
 # Expr is either a leaf content id or (op, child, ...).
 Expr = str | tuple
@@ -572,11 +575,29 @@ def payload_to_json(payload: Payload) -> dict:
     }
 
 
+def member_of(enum: type[E], value: object) -> E:
+    """``enum(value)``, looked up in the enum's own value map first; a
+    value not found there goes to ``enum(value)``, which refuses it."""
+    try:
+        return enum._value2member_map_[value]
+    except (KeyError, TypeError):
+        pass
+    return enum(value)
+
+
+def _expr_from_json(text: object) -> Expr:
+    """`parse_expr`, without the parser for a bare leaf id: one token, with
+    no whitespace and no parens, parses to itself."""
+    if type(text) is str and "(" not in text and ")" not in text and text.split() == [text]:
+        return text
+    return parse_expr(text)
+
+
 def payload_from_json(doc: dict) -> Payload:
     return Payload(
-        modality=Modality(doc["modality"]),
-        expr=parse_expr(doc["expr"]),
-        language=Language(doc["language"]),
-        corruptions=tuple(Corruption(c) for c in doc["corruptions"]),
-        quality=doc["quality"],
+        member_of(Modality, doc["modality"]),
+        _expr_from_json(doc["expr"]),
+        member_of(Language, doc["language"]),
+        tuple([member_of(Corruption, c) for c in doc["corruptions"]]),
+        doc["quality"],
     )

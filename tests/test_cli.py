@@ -226,7 +226,11 @@ def test_unwritable_out_is_a_one_line_engine_error(ws, tmp_path, capsys, command
 
 
 def _with_quality(catalog: list, quality) -> list:
-    catalog[0]["dataset"][0]["inputs"][0]["quality"] = quality
+    return _with_input_field(catalog, "quality", quality)
+
+
+def _with_input_field(catalog: list, key: str, value) -> list:
+    catalog[0]["dataset"][0]["inputs"][0][key] = value
     return catalog
 
 
@@ -316,6 +320,10 @@ MALFORMED_DOCUMENTS = [
     ("eval", "--catalog", "task", _text_ii_input),
     ("oracle", "--catalog", "catalog", _duplicate_task_id),
     ("eval", "--catalog", "catalog", _duplicate_task_id),
+    ("parse", "registry", "registry", {}),
+    ("eval", "--catalog", "task", lambda catalog: _with_input_field(catalog, "modality", "Audio")),
+    ("eval", "--catalog", "task", lambda catalog: _with_input_field(catalog, "expr", "x1\tx2")),
+    ("eval", "--catalog", "task", lambda catalog: _with_input_field(catalog, "expr", 7)),
 ]
 
 

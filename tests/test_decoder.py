@@ -3,7 +3,6 @@ from __future__ import annotations
 import contextlib
 import math
 import random
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -20,6 +19,7 @@ from planforge.benchgen import (
 from planforge.context import BOS, END_TOKEN
 from planforge.decoder import (
     DecoderConfig,
+    ReplayStep,
     SamplerConfig,
     _step_cap,
     allowed_tokens,
@@ -97,6 +97,21 @@ def test_no_end_before_any_tool() -> None:
     frontier = step_frontier(initial_state(task), task, MINI, DecoderConfig().max_tools_per_branch)
     assert frontier.actions == ("Colorization", "Image Deblurring", "Image Denoising")
     assert END_TOKEN not in frontier.actions
+
+
+def test_decoder_states_refuse_field_assignment() -> None:
+    """States are shared between beam candidates, so none may change in place."""
+    task = _mini_task()
+    state = initial_state(task)
+    frontier = step_frontier(state, task, MINI, DecoderConfig().max_tools_per_branch)
+    step = ReplayStep(frontier.context, frontier.actions, frontier.actions[0])
+    branch = state.branches[0]
+    for value in (state, branch, branch.hint, frontier, step):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.extra = None
 
 
 def test_uniform_beam_enumerates_every_ordering() -> None:
@@ -570,7 +585,7 @@ def test_random_legal_walks_complete_only_valid_plans(task, data) -> None:
                 assert to_plan(child).output_node == last_node[acting]
             elif token == END_TOKEN:
                 branches = list(state.branches)
-                branches[acting] = replace(branches[acting], parked=True)
+                branches[acting] = branches[acting]._replace(parked=True)
                 assert not child.done
                 assert child.branches == tuple(branches)
             else:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -132,7 +130,7 @@ def test_slot_tables_match_whole_registry_scans(case) -> None:
 
     for category in (TaskCategory.IMAGE_TEXT_TO_TEXT, TaskCategory.TEXT_TEXT_TO_TEXT):
         task = build_task("x-000", category, ((), ()), (), samples_per_task=1)
-        state = replace(initial_state(task), used=used)
+        state = initial_state(task)._replace(used=used)
         frontier = step_frontier(state, task, registry, 6)
         end_ok = frontier is not None and END_TOKEN in frontier.actions
         # Two live branches: parking is legal only if a join could take the head.

@@ -16,6 +16,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from planforge.benchgen import _DynamicsTable
+from planforge.plan_ir import MetricSlot, TaskCategory
 from planforge.errors import (
     ArityMismatch,
     EngineError,
@@ -46,6 +47,7 @@ from planforge.simkit import (
     expr_labels,
     label_countdown,
     make_leaf,
+    member_of,
     parse_expr,
     payload_from_json,
     payload_to_json,
@@ -321,6 +323,93 @@ def test_payload_json_round_trip(corruption: Corruption, quality: float) -> None
         quality=quality,
     )
     assert payload_from_json(payload_to_json(payload)) == payload
+
+
+def _loaded(load, doc) -> str:
+    """What a loader makes of a document: the repr of its result, so enum
+    members and plain strings differ, or the type and message of its refusal."""
+    try:
+        return repr(load(doc))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reference_payload(doc: dict) -> Payload:
+    """A payload read with an Enum call per member and the parser per expr."""
+    return Payload(
+        modality=Modality(doc["modality"]),
+        expr=parse_expr(doc["expr"]),
+        language=Language(doc["language"]),
+        corruptions=tuple(Corruption(c) for c in doc["corruptions"]),
+        quality=doc["quality"],
+    )
+
+
+_ENUMS = (Modality, Language, Corruption, SemanticId, TaskCategory, MetricSlot)
+# Enum values, near misses and values of other JSON types.
+_LOOSE = st.one_of(
+    st.sampled_from([m.value for enum in _ENUMS for m in enum]),
+    st.text(max_size=8),
+    st.integers(),
+    st.none(),
+    st.lists(st.text(max_size=3), max_size=2),
+)
+_EXPR_DOCS = st.one_of(
+    st.text(),
+    st.text(alphabet=" \t\n\x1f\xa0()x1", max_size=8),
+    _EXPRS.map(serialize_expr),
+    _LOOSE,
+)
+
+
+def _payload_doc(modality="Text", expr="x1", language="en", corruptions=(), quality=1.0) -> dict:
+    return {
+        "modality": modality,
+        "expr": expr,
+        "language": language,
+        "corruptions": list(corruptions),
+        "quality": quality,
+    }
+
+
+@st.composite
+def _payload_docs(draw) -> dict:
+    doc = _payload_doc(
+        draw(st.sampled_from(["Text", "Image"]) | _LOOSE),
+        draw(_EXPR_DOCS),
+        draw(st.sampled_from(["en", "de", "none"]) | _LOOSE),
+        draw(st.lists(st.sampled_from([c.value for c in Corruption]) | _LOOSE, max_size=3)),
+        draw(st.floats(min_value=0.0, max_value=1.5) | _LOOSE),
+    )
+    if draw(st.booleans()):
+        doc["corruptions"] = draw(_LOOSE)
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
+        del doc[key]
+    return doc
+
+
+@given(_payload_docs())
+@example(_payload_doc(expr=""))
+@example(_payload_doc(expr=" x1"))
+@example(_payload_doc(expr="x1\tx2"))
+@example(_payload_doc(expr="x1\n"))
+@example(_payload_doc(expr="("))
+@example(_payload_doc(expr="x1)"))
+@example(_payload_doc(expr=7))
+@example(_payload_doc(expr="(summ x1)"))
+@example(_payload_doc(modality="Audio", expr=""))
+@example(_payload_doc(modality="Image", language="none", corruptions=["Blur", "Mask"]))
+@example({"expr": "", "language": "xx"})
+def test_payload_loader_agrees_with_enum_calls_and_the_parser(doc) -> None:
+    """payload_from_json looks members up in each enum's value map and
+    skips the parser for a bare leaf id; it must return what Enum calls
+    and `parse_expr` give, or refuse with the same error."""
+    assert _loaded(payload_from_json, doc) == _loaded(_reference_payload, doc)
+
+
+@given(st.sampled_from(_ENUMS), _LOOSE | st.sampled_from([m for enum in _ENUMS for m in enum]))
+def test_member_of_agrees_with_the_enum_call(enum, value) -> None:
+    assert _loaded(lambda v: member_of(enum, v), value) == _loaded(enum, value)
 
 
 # Quality factors out of single-input tools and out of `similarity`; the
