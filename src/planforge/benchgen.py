@@ -7,7 +7,7 @@ is solvable exactly because it was manufactured from the operations
 that undo it.
 
 The oracle enumerates the full canonical plan family up to a depth
-bound, scores every candidate, and keeps the argmax. It shares nothing
+bound, scores every candidate that can still win, and keeps the argmax. It shares nothing
 with the beam decoder except the plan data structures.
 """
 
@@ -351,6 +351,8 @@ def generate_catalog(
 def catalog_from_json(docs: list[dict]) -> tuple[TaskSpec, ...]:
     """The tasks of a catalog document. Task ids must be unique."""
     with reading("catalog"):
+        if not isinstance(docs, list):
+            raise TypeError(f"catalog must be a JSON list, got {type(docs).__name__}")
         tasks = tuple(task_from_json(doc) for doc in docs)
         seen: set[str] = set()
         for task in tasks:
@@ -399,32 +401,25 @@ class OracleResult:
     plans_examined: int
 
 
-def _chain_plan(
-    names: tuple[str, ...], head: TaskInput | NodeOutput, start_id: int
-) -> tuple[list[PlanNode], TaskInput | NodeOutput]:
-    """Nodes applying the tools in order from head, numbered from start_id."""
-    nodes: list[PlanNode] = []
-    for nid, name in enumerate(names, start_id):
-        nodes.append(PlanNode(nid, name, (head,)))
-        head = NodeOutput(nid)
-    return nodes, head
-
-
-def _joined_plan(
-    a: int,
-    b: int,
-    names0: tuple[str, ...],
-    names1: tuple[str, ...],
-    join: str,
-    tail: tuple[str, ...],
+def _plan(
+    heads: tuple[tuple[int, tuple[str, ...]], ...], join: str | None, tail: tuple[str, ...]
 ) -> PlanGraph:
-    """Chains on task inputs a and b, a join of their heads, then the tail."""
-    nodes0, h0 = _chain_plan(names0, TaskInput(a), 0)
-    nodes1, h1 = _chain_plan(names1, TaskInput(b), len(nodes0))
-    join_id = len(nodes0) + len(nodes1)
-    tail_nodes, _ = _chain_plan(tail, NodeOutput(join_id), join_id + 1)
-    nodes = (*nodes0, *nodes1, PlanNode(join_id, join, (h0, h1)), *tail_nodes)
-    return PlanGraph(nodes, nodes[-1].id)
+    """Each (task input, tool names) chain of heads, the join of their
+    ends if join is given, then the tail's tools on the one end left."""
+    nodes: list[PlanNode] = []
+
+    def chain(names: tuple[str, ...], end: TaskInput | NodeOutput) -> TaskInput | NodeOutput:
+        for name in names:
+            nodes.append(PlanNode(len(nodes), name, (end,)))
+            end = NodeOutput(len(nodes) - 1)
+        return end
+
+    ends = tuple(chain(names, TaskInput(i)) for i, names in heads)
+    if join is not None:
+        nodes.append(PlanNode(len(nodes), join, ends))
+        ends = (NodeOutput(len(nodes) - 1),)
+    chain(tail, ends[0])
+    return PlanGraph(tuple(nodes), nodes[-1].id)
 
 
 # What the oracle carries of a payload: everything but its expr and
@@ -539,11 +534,14 @@ def oracle_best_plan(
     """Exhaustive argmin of (-score, tool count, plan document) over the
     canonical plan family.
 
-    Single-input tasks get every duplicate-free tool chain up to
-    max_depth. Two-input tasks get a chain per input (each up to
-    max_depth), one join in either input orientation, and a tail chain
-    up to max_depth. A candidate is scored on the task's first sample.
-    Ties on score break toward fewer tools, then toward the
+    A candidate is a head followed by a tail chain. A one-input task has
+    one head: task input 0, with no tools. A two-input task has a head
+    per join, input orientation and pair of chains, one chain on each
+    input (each up to max_depth): the join of the chains' outputs. A
+    head's tails are the duplicate-free tool chains up to max_depth that
+    end on the target modality and share no tool with the head. A
+    candidate has at least one tool and is scored on the task's first
+    sample. Ties on score break toward fewer tools, then toward the
     lexicographically smallest plan document (``json.dumps`` of
     ``plan_to_json`` with sorted keys). With ``replayable_only``, a
     candidate that would become the best is kept only if the decoder
@@ -553,35 +551,35 @@ def oracle_best_plan(
     table local to the call (see `_DynamicsTable`), so each tool runs
     once per distinct input shape, and carry their wrap ops and quality
     factors (see `_enumerate_chains`). Tails are enumerated once per
-    (join output modality, joined shape) and shared by every joined
-    expr of that shape. A joined quality is ``(q0 * q1) * factor``, the
-    order `apply_tool` multiplies in.
+    head (output modality, shape) and shared by every head of that
+    shape. A joined quality is ``(q0 * q1) * factor``, the order
+    `apply_tool` multiplies in.
 
     The structure term comes from label counts: the reference labels
-    are counted down once over the start exprs, once more per joined
-    expr over its head chains' ops and join op, and then over each
+    are counted down once over the start exprs, once more per head over
+    its ops (its head chains' ops and join op), and then over each
     distinct tail's ops. These are the integers `structure_similarity`
-    divides, so a candidate's score at input quality ``q`` is
-    `chain_similarity` of its content term, ``q`` and its factors, the
-    same float as `similarity` of the executed output.
+    divides, so a candidate's score at head quality ``q`` is
+    `chain_similarity` of its content term, ``q`` and its tail's
+    factors, the same float as `similarity` of the executed output.
 
-    On a two-input task only candidates that can still win or tie are
-    scored. A candidate scores ``content * (scale_quality(q, factors) *
-    gamma ** r)`` at input quality ``q``, and the content term, every
-    factor and ``gamma`` lie in [0, 1]. A float multiplied by a value in
-    [0, 1] never rounds above itself, so no candidate scores above ``q``.
-    Here ``q`` is the joined quality of its (join, head pair), 0.0 if
-    the join raises. When that is strictly below the best score so far,
-    no tail of the pair can win or tie, and none is scored.
-    ``plans_examined`` still counts every candidate of the family: such
-    a pair adds the number of its tails that share no tool with it,
-    counted once per joined shape and set of the pair's tools that those
-    tails use. Under ``replayable_only`` the best score is the best
-    replayable one, so the bound skips nothing that could be kept. The
-    winner is the argmin of a total order, so the order in which head
-    pairs are visited (grouped by output shape) does not change it. The
-    plan graph and its document are built only for a candidate whose
-    score and tool count tie or beat the current best.
+    Only candidates that can still win or tie are scored. A candidate
+    scores ``content * (scale_quality(q, factors) * gamma ** r)``, and
+    the content term, every factor and ``gamma`` lie in [0, 1]. A float
+    multiplied by a value in [0, 1] never rounds above itself, so no
+    candidate scores above its head's quality ``q``, 0.0 if the join
+    raises. When that is strictly below the best score so far, no tail
+    of the head can win or tie, and none is scored. ``plans_examined``
+    still counts every candidate of the family: such a head adds the
+    number of its tails that share no tool with it, counted once per
+    head shape and set of the head's tools that those tails use. The
+    one-input head comes first, so it is always scored. Under
+    ``replayable_only`` the best score is the best replayable one, so
+    the bound skips nothing that could be kept. The winner is the argmin
+    of a total order, so the order in which heads are visited (grouped
+    by output shape) does not change it. The plan graph and its document
+    are built only for a candidate whose score and tool count tie or
+    beat the current best.
     """
     if len(task.input_signature) > 2:
         raise ValueError("oracle handles one or two task inputs")
@@ -591,84 +589,111 @@ def oracle_best_plan(
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     sample = task.dataset[0]
     reference = sample.reference
-    reference_labels = expr_labels(reference.expr)
     target = task.output_modality
     arity1 = [spec for spec in registry if len(spec.inputs) == 1]
     table = _DynamicsTable(constants)
-
-    def reaching_target(chains: list[ToolChain]) -> tuple[list[tuple], list[tuple[str, ...]]]:
-        """(found, ops): (names, name set, factors, index into ops,
-        language term, residuals) of each chain that ends on the target
-        modality, factors None if it raises; ops lists each distinct
-        wrap-op tuple of these chains once."""
-        found, index = [], {}
-        for names, modality, shape, ops, factors in chains:
-            if modality is not target:
-                continue
-            if shape is None:
-                found.append((names, frozenset(names), None, 0, 0.0, 0))
-                continue
-            found.append((
-                names,
-                frozenset(names),
-                factors,
-                index.setdefault(ops, len(index)),
-                language_term(shape[1], reference.language, constants),
-                len(shape[2]),
-            ))
-        return found, list(index)
-
+    # The start exprs' labels, counted down once: a candidate's labels are
+    # these plus its head's ops and its tail's ops.
+    root = label_countdown(expr_labels(reference.expr), *(start.expr for start in sample.inputs))
+    # (head output modality, head shape) -> that key; (names, name set,
+    # factors, index into the ops list, language term, residuals) of each
+    # tail that ends on the target, factors None if it raises; the ops
+    # list, each distinct tail ops tuple once; the union of the tool sets
+    tail_memo: dict[tuple, tuple] = {}
+    # (that key, the head's ops) -> structure term of each distinct tail
+    # ops tuple on that head
+    struct_memo: dict[tuple, list[float]] = {}
+    # (that key, the head's tools that some tail uses) -> how many of the
+    # key's tails are disjoint from those tools
+    count_memo: dict[tuple, int] = {}
     examined = 0
-    # Every score is >= 0, so the first candidate always reaches offer().
+    # Every score is >= 0, so the first candidate always becomes the best.
     best_score, best_len = -1.0, 0
     best_plan: PlanGraph | None = None
     best_doc: str | None = None
 
-    def offer(value: float, n_nodes: int, plan: PlanGraph) -> None:
-        """Keep the plan if it beats the best; called only when its
-        (score, tool count) ties or beats the best's."""
-        nonlocal best_score, best_len, best_plan, best_doc
-        doc = None
-        if value == best_score and n_nodes == best_len:
-            doc = json.dumps(plan_to_json(plan), sort_keys=True)
-            if best_doc is None:
-                best_doc = json.dumps(plan_to_json(best_plan), sort_keys=True)
-            if doc >= best_doc:
-                return
-        if replayable_only:
-            try:
-                replay_steps(plan, task, registry)
-            except InvalidPlan:
-                return
-        best_score, best_len, best_plan, best_doc = value, n_nodes, plan, doc
+    def tails_from(modality: Modality, shape: Shape | None) -> tuple:
+        key = (modality, shape)
+        found = tail_memo.get(key)
+        if found is None:
+            tails, index = [], {}
+            for names, end, out, ops, factors in _enumerate_chains(
+                arity1, modality, shape, max_depth, table, target
+            ):
+                if end is not target:
+                    continue
+                if out is None:
+                    tails.append((names, frozenset(names), None, 0, 0.0, 0))
+                    continue
+                tails.append((
+                    names,
+                    frozenset(names),
+                    factors,
+                    index.setdefault(ops, len(index)),
+                    language_term(out[1], reference.language, constants),
+                    len(out[2]),
+                ))
+            tools = frozenset().union(*(tail[1] for tail in tails))
+            found = tail_memo[key] = key, tails, list(index), tools
+        return found
 
-    if len(task.input_signature) == 1:
-        start = sample.inputs[0]
-        chains, distinct_ops = reaching_target(
-            _enumerate_chains(
-                arity1, task.input_signature[0], _shape(start), max_depth, table, target
-            )
-        )
-        root = label_countdown(reference_labels, start.expr)
-        structs = [countdown_structure(count_down(root, ops)) for ops in distinct_ops]
-        for names, _, factors, k, w_lang, residuals in chains:
-            if not names:
+    def score(found, quality, ops, used, head_len, heads, join) -> None:
+        """Every candidate of a head: its tails from `tails_from`, its
+        quality, ops (None if its join raises), tool set and node count,
+        and the `_plan` heads and join that build it."""
+        nonlocal examined, best_score, best_len, best_plan, best_doc
+        key, tails, distinct_ops, tools = found
+        if quality < best_score:
+            # No tail scores above the head's quality: count them only.
+            clash = used & tools
+            count = count_memo.get((key, clash))
+            if count is None:
+                count = count_memo[key, clash] = sum(
+                    1 for tail in tails if clash.isdisjoint(tail[1])
+                )
+            examined += count
+            return
+        structs = ()
+        if ops is not None:
+            structs = struct_memo.get((key, ops))
+            if structs is None:
+                head = count_down(root, ops)
+                structs = struct_memo[key, ops] = [
+                    countdown_structure(count_down(head, tail_ops)) for tail_ops in distinct_ops
+                ]
+        for tail, tail_set, factors, k, w_lang, residuals in tails:
+            n_nodes = head_len + len(tail)
+            if not (n_nodes and used.isdisjoint(tail_set)):
                 continue
             examined += 1
             value = 0.0 if factors is None else chain_similarity(
-                structs[k] * w_lang, start.quality, factors, residuals, constants
+                structs[k] * w_lang, quality, factors, residuals, constants
             )
-            n_nodes = len(names)
-            if value > best_score or (value == best_score and n_nodes <= best_len):
-                nodes, _ = _chain_plan(names, TaskInput(0), 0)
-                offer(value, n_nodes, PlanGraph(tuple(nodes), nodes[-1].id))
+            if value < best_score or (value == best_score and n_nodes > best_len):
+                continue
+            plan = _plan(heads, join, tail)
+            doc = None
+            if value == best_score and n_nodes == best_len:
+                doc = json.dumps(plan_to_json(plan), sort_keys=True)
+                if best_doc is None:
+                    best_doc = json.dumps(plan_to_json(best_plan), sort_keys=True)
+                if doc >= best_doc:
+                    continue
+            if replayable_only:
+                try:
+                    replay_steps(plan, task, registry)
+                except InvalidPlan:
+                    continue
+            best_score, best_len, best_plan, best_doc = value, n_nodes, plan, doc
+
+    if len(task.input_signature) == 1:
+        start = sample.inputs[0]
+        found = tails_from(task.input_signature[0], _shape(start))
+        score(found, start.quality, (), frozenset(), 0, ((0, ()),), None)
     else:
         joins = [spec for spec in registry if len(spec.inputs) == 2]
-        # Both start exprs' labels, counted down once: a joined output's
-        # labels are these plus its head chains' ops, join op and tail ops.
-        root = label_countdown(reference_labels, sample.inputs[0].expr, sample.inputs[1].expr)
-        # Each input's chains by (output modality, output shape), with
-        # their tool set and the quality each leaves on that input.
+        # Each input's chains by (output modality, output shape), as the
+        # `_plan` chain, tool set, ops and quality each leaves on that input.
         per_input = []
         for i in range(2):
             start = sample.inputs[i]
@@ -677,18 +702,9 @@ def oracle_best_plan(
                 arity1, task.input_signature[i], _shape(start), max_depth, table
             ):
                 groups.setdefault((modality, shape), []).append(
-                    (names, frozenset(names), ops, scale_quality(start.quality, factors))
+                    ((i, names), frozenset(names), ops, scale_quality(start.quality, factors))
                 )
             per_input.append(groups)
-        # (join output modality, joined shape) -> reaching_target of its
-        # tails and the union of their tool sets
-        tail_memo: dict[tuple, tuple] = {}
-        # (that key, the joined expr's ops) -> structure term of each distinct
-        # tail ops tuple on that joined expr
-        struct_memo: dict[tuple, list[float]] = {}
-        # (that key, the head pair's tools that some tail uses) -> how many
-        # of the key's tails are disjoint from those tools
-        count_memo: dict[tuple, int] = {}
         for (a, b), join in itertools.product(((0, 1), (1, 0)), joins):
             join_set = frozenset((join.name,))
             for (mod0, shape0), heads0 in per_input[a].items():
@@ -698,55 +714,18 @@ def oracle_best_plan(
                     entry = None
                     if shape0 is not None and shape1 is not None:
                         entry = table[join.semantic, (shape0, shape1)]
-                    joined_shape = None if entry is None else entry[0]
-                    key = (join.output, joined_shape)
-                    found = tail_memo.get(key)
-                    if found is None:
-                        tails, distinct_ops = reaching_target(_enumerate_chains(
-                            arity1, join.output, joined_shape, max_depth, table, target
-                        ))
-                        tools = frozenset().union(*(tail[1] for tail in tails))
-                        found = tail_memo[key] = tails, distinct_ops, tools
-                    tails, distinct_ops, tools = found
-                    for (names0, set0, ops0, q0), (names1, set1, ops1, q1) in itertools.product(
+                    found = tails_from(join.output, None if entry is None else entry[0])
+                    for (chain0, set0, ops0, q0), (chain1, set1, ops1, q1) in itertools.product(
                         heads0, heads1
                     ):
                         used = set0 | set1 | join_set
                         head_len = len(used)
-                        if head_len != len(names0) + len(names1) + 1:
+                        if head_len != len(set0) + len(set1) + 1:
                             continue
-                        joined_quality = 0.0 if entry is None else (q0 * q1) * entry[1]
-                        if joined_quality < best_score:
-                            # No tail scores above joined_quality: count them only.
-                            clash = used & tools
-                            count = count_memo.get((key, clash))
-                            if count is None:
-                                count = count_memo[key, clash] = sum(
-                                    1 for tail in tails if clash.isdisjoint(tail[1])
-                                )
-                            examined += count
-                            continue
-                        structs = ()
+                        quality, ops = 0.0, None
                         if entry is not None:
-                            joined_ops = ops0 + ops1 + (entry[2],)
-                            structs = struct_memo.get((key, joined_ops))
-                            if structs is None:
-                                joined = count_down(root, joined_ops)
-                                structs = struct_memo[key, joined_ops] = [
-                                    countdown_structure(count_down(joined, ops))
-                                    for ops in distinct_ops
-                                ]
-                        for tail, tail_set, factors, k, w_lang, residuals in tails:
-                            if not used.isdisjoint(tail_set):
-                                continue
-                            examined += 1
-                            value = 0.0 if factors is None else chain_similarity(
-                                structs[k] * w_lang, joined_quality, factors, residuals, constants
-                            )
-                            n_nodes = head_len + len(tail)
-                            if value > best_score or (value == best_score and n_nodes <= best_len):
-                                plan = _joined_plan(a, b, names0, names1, join.name, tail)
-                                offer(value, n_nodes, plan)
+                            quality, ops = (q0 * q1) * entry[1], ops0 + ops1 + (entry[2],)
+                        score(found, quality, ops, used, head_len, (chain0, chain1), join.name)
 
     if best_plan is None:
         raise NoFeasiblePlan(f"no plan reaches {target.value} for {task.id}")

@@ -41,9 +41,6 @@ class ReportTable:
     per_task: tuple[tuple[str, float], ...]
     failures: tuple[str, ...]
 
-    def slot(self, slot: MetricSlot) -> float | None:
-        return {MetricSlot.CLIP: self.clip, MetricSlot.BERT: self.bert, MetricSlot.VIT: self.vit}[slot]
-
 
 def task_reward(
     plan, task: TaskSpec, registry: ToolRegistry, constants: SimConstants = DEFAULT_CONSTANTS

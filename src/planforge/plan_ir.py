@@ -58,9 +58,6 @@ class PlanGraph:
                 return node
         raise KeyError(node_id)
 
-    def tool_names(self) -> tuple[str, ...]:
-        return tuple(node.tool for node in self.nodes)
-
 
 def _ref_to_json(ref: InputRef) -> dict:
     if isinstance(ref, TaskInput):

@@ -33,10 +33,6 @@ class PolicyParams:
         return PolicyParams(dict(self.values))
 
 
-def effective_logit(params: PolicyParams, ctx: Context, token: str) -> float:
-    return sum(params.get(level, token) for level in context_levels(ctx))
-
-
 def _log_softmax(logits: dict[str, float], order: Sequence[str]) -> dict[str, float]:
     peak = max(logits[a] for a in order)
     log_total = peak + math.log(sum(math.exp(logits[a] - peak) for a in order))

@@ -52,7 +52,3 @@ def children_after(root: TrieNode, words: Sequence[str]) -> frozenset[str]:
 def terminal_at(root: TrieNode, words: Sequence[str]) -> str | None:
     """The complete name spelled by the prefix, if any."""
     return _walk(root, words).terminal
-
-
-def first_tokens(root: TrieNode) -> frozenset[str]:
-    return frozenset(root.children)

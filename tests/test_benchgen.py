@@ -411,6 +411,7 @@ def _with_input_qualities(task, qualities):
 @example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK, C.TRANSLATE), (C.MASK,)), (S.QA, S.SUMMARIZE), 2, True, (0.37, 0.9)))
 @example((TaskCategory.IMAGE_TO_TEXT, ((C.BLUR,),), (S.CAPTION,), 1, False, (0.9,)))
 @example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE,), (C.MASK,)), (S.VQA,), 1, True, (0.37, 0.9)))
+@example((TaskCategory.IMAGE_TO_IMAGE, ((C.GRAY,),), (), 2, False, (0.5,)))
 def test_oracle_matches_naive_reference(case) -> None:
     category, chains, builder, depth, replayable_only, qualities = case
     task = build_task("x-000", category, chains, builder, samples_per_task=2)

@@ -284,7 +284,7 @@ MALFORMED_DOCUMENTS = [
     ("exec", "--plan", "plan", {"nodes": [{"id": 0, "tool": ["Fill Mask"], "inputs": [{"task": 0}]}], "output": 0}),
     ("exec", "--plan", "plan", [{"nodes": []}]),
     ("eval", "--catalog", "task", [{"id": "t"}]),
-    ("eval", "--catalog", "task", {"not": "a list"}),
+    ("eval", "--catalog", "catalog", {"not": "a list"}),
     ("eval", "--catalog", "catalog", 7),
     ("eval", "--catalog", "task", lambda catalog: _with_quality(catalog, 1.5)),
     ("eval", "--catalog", "task", lambda catalog: _with_quality(catalog, 0.0)),
@@ -324,6 +324,10 @@ MALFORMED_DOCUMENTS = [
     ("eval", "--catalog", "task", lambda catalog: _with_input_field(catalog, "modality", "Audio")),
     ("eval", "--catalog", "task", lambda catalog: _with_input_field(catalog, "expr", "x1\tx2")),
     ("eval", "--catalog", "task", lambda catalog: _with_input_field(catalog, "expr", 7)),
+    ("eval", "--catalog", "catalog", {}),
+    ("eval", "--catalog", "catalog", "x"),
+    ("eval", "--catalog", "catalog", 1),
+    ("eval", "--catalog", "catalog", None),
 ]
 
 

@@ -60,7 +60,7 @@ def test_evaluate_aggregates_slot_means(catalog, registry) -> None:
         by_slot[task.metric_slot].append(rewards[task.id])
     for slot in MetricSlot:
         expected = fmean(by_slot[slot]) if by_slot[slot] else 0.0
-        assert math.isclose(table.slot(slot), expected)
+        assert math.isclose(getattr(table, slot.value), expected)
     assert math.isclose(
         table.overall, fmean([table.clip, table.bert, table.vit])
     )

@@ -43,7 +43,7 @@ def _vqa_plan() -> PlanGraph:
 
 def test_from_linear_sequence_builds_chain(registry) -> None:
     plan = from_linear_sequence(["Image Denoising", "Image Captioning"], registry)
-    assert plan.tool_names() == ("Image Denoising", "Image Captioning")
+    assert tuple(n.tool for n in plan.nodes) == ("Image Denoising", "Image Captioning")
     assert plan.nodes[0].input_refs == (TaskInput(0),)
     assert plan.nodes[1].input_refs == (NodeOutput(0),)
     assert plan.output_node == 1

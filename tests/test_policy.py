@@ -23,7 +23,6 @@ from planforge.policy import (
     TabularPolicy,
     UniformPolicy,
     apply_gradient,
-    effective_logit,
     grad_log_prob,
     log_prob,
     params_from_json,
@@ -44,16 +43,6 @@ def test_score_tokens_is_log_softmax() -> None:
     assert math.isclose(sum(math.exp(s) for s in scores.values()), 1.0)
     with pytest.raises(EmptyAllowedSet):
         score_tokens(params, CTX, [])
-
-
-def test_effective_logit_sums_levels() -> None:
-    params = PolicyParams()
-    general, full = context_levels(CTX)
-    params.values[(general, "a")] = 0.25
-    params.values[(full, "a")] = 1.0
-    assert effective_logit(params, CTX, "a") == 1.25
-    # Querying at the shared level itself does not re-add the full level.
-    assert effective_logit(params, general, "a") == 0.25
 
 
 def test_log_prob_matches_uniform_replay(catalog, registry) -> None:

@@ -5,12 +5,12 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from planforge.errors import DuplicateName, EmptyNameSet
-from planforge.trie import build_trie, children_after, first_tokens, terminal_at
+from planforge.trie import build_trie, children_after, terminal_at
 
 
 def test_two_name_example() -> None:
     root = build_trie(["Text Summarization", "Text to Image Generation"])
-    assert first_tokens(root) == frozenset({"Text"})
+    assert children_after(root, []) == frozenset({"Text"})
     assert children_after(root, ["Text"]) == frozenset({"Summarization", "to"})
     assert terminal_at(root, ["Text", "Summarization"]) == "Text Summarization"
     assert terminal_at(root, ["Text"]) is None
