@@ -290,9 +290,7 @@ def build_task(
         cleans = tuple(
             make_leaf(modality, f"x{next(counter):05d}") for modality in signature
         )
-        corrupted = tuple(
-            apply_chain(clean, chain, constants) for clean, chain in zip(cleans, chains)
-        )
+        corrupted = tuple(apply_chain(clean, chain) for clean, chain in zip(cleans, chains))
         samples.append(Sample(inputs=corrupted, reference=_apply_builder(cleans, builder, constants)))
     return TaskSpec(
         id=task_id,

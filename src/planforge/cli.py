@@ -63,7 +63,13 @@ def _json_array(texts: list[str]) -> str:
 
 
 def _write_json(path: Path, doc) -> None:
-    _write_text(path, _dumps(doc) + "\n")
+    """Write the document as ``_dumps`` formats it, but as strict JSON: a NaN
+    or infinity in it is an EngineError and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise EngineError(f"cannot write {path}: {exc}") from exc
+    _write_text(path, text + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:

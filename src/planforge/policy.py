@@ -1,7 +1,7 @@
 """Policies over decoding actions.
 
-The trainable policy is tabular: a sparse mapping from (context, token)
-to a logit, implicitly zero. Contexts are scored at two levels, a
+The trainable policy is tabular: a plain dict from (context, token) to
+a logit, implicitly zero. Contexts are scored at two levels, a
 shared level with the previous tool wildcarded and the full context;
 the effective logit is their sum, so rare full contexts back off to
 behavior learned across previous tools. Scores returned to the decoder
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .context import Context, context_from_json, context_levels, context_to_json
@@ -22,15 +21,7 @@ from .plan_ir import PlanGraph, TaskSpec
 from .registry import ToolRegistry
 
 
-@dataclass
-class PolicyParams:
-    values: dict[tuple[Context, str], float] = field(default_factory=dict)
-
-    def get(self, ctx: Context, token: str) -> float:
-        return self.values.get((ctx, token), 0.0)
-
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(dict(self.values))
+PolicyParams = dict[tuple[Context, str], float]
 
 
 def _log_softmax(logits: dict[str, float], order: Sequence[str]) -> dict[str, float]:
@@ -43,8 +34,7 @@ def _level_log_probs(
     params: PolicyParams, levels: tuple[Context, ...], allowed: Sequence[str]
 ) -> dict[str, float]:
     """score_tokens given the context's backoff levels, summed in order."""
-    values = params.values
-    logits = {a: sum(values.get((level, a), 0.0) for level in levels) for a in allowed}
+    logits = {a: sum(params.get((level, a), 0.0) for level in levels) for a in allowed}
     return _log_softmax(logits, allowed)
 
 
@@ -101,15 +91,15 @@ def apply_gradient(
     params: PolicyParams, grad: dict[tuple[Context, str], float], scale: float
 ) -> PolicyParams:
     updated = params.copy()
-    _add_gradient(updated.values, grad, scale)
+    _add_gradient(updated, grad, scale)
     return updated
 
 
 def _add_gradient(
-    values: dict[tuple[Context, str], float], grad: dict[tuple[Context, str], float], scale: float
+    params: PolicyParams, grad: dict[tuple[Context, str], float], scale: float
 ) -> None:
     for key, g in grad.items():
-        values[key] = values.get(key, 0.0) + scale * g
+        params[key] = params.get(key, 0.0) + scale * g
 
 
 def pretrain_supervised(
@@ -130,14 +120,14 @@ def pretrain_supervised(
     episodes = [replay_steps(plan, task, registry) for task, plan in labeled]
     for _ in range(epochs):
         for steps in episodes:
-            _add_gradient(current.values, grad_log_prob_steps(current, steps), lr)
+            _add_gradient(current, grad_log_prob_steps(current, steps), lr)
     return current
 
 
 def params_to_json(params: PolicyParams) -> dict:
     entries = [
         {"context": context_to_json(ctx), "token": token, "value": value}
-        for (ctx, token), value in params.values.items()
+        for (ctx, token), value in params.items()
     ]
     entries.sort(key=lambda e: (sorted(e["context"].items()).__repr__(), e["token"]))
     return {"version": 1, "params": entries}
@@ -167,8 +157,7 @@ def params_from_json(doc: dict) -> PolicyParams:
         version = doc["version"]
         if type(version) is not int or version != 1:
             raise ValueError(f"checkpoint version must be 1, got {version!r}")
-        values = dict(_checkpoint_entry(entry) for entry in doc["params"])
-    return PolicyParams(values)
+        return dict(_checkpoint_entry(entry) for entry in doc["params"])
 
 
 class TabularPolicy:
@@ -203,6 +192,10 @@ class UniformPolicy:
         return {a: lp for a in actions}
 
 
+# The logit GuidedPlanPolicy gives the target's next action; all others get 0.
+_GUIDE_LOGIT = 20.0
+
+
 class GuidedPlanPolicy:
     """Boosts the action the state's acting branch takes toward a fixed target plan.
 
@@ -211,10 +204,9 @@ class GuidedPlanPolicy:
     reachable at all.
     """
 
-    def __init__(self, plan: PlanGraph, registry: ToolRegistry, strength: float = 20.0) -> None:
+    def __init__(self, plan: PlanGraph, registry: ToolRegistry) -> None:
         self.plan = plan
         self.registry = registry
-        self.strength = strength
 
     def score_step(
         self, ctx: Context, actions: Sequence[str], state: BeamState
@@ -222,7 +214,7 @@ class GuidedPlanPolicy:
         if not actions:
             raise EmptyAllowedSet("no tokens to score")
         token = expected_action(self.registry, state, self.plan)
-        logits = {a: self.strength if a == token else 0.0 for a in actions}
+        logits = {a: _GUIDE_LOGIT if a == token else 0.0 for a in actions}
         return _log_softmax(logits, actions)
 
 
@@ -299,20 +291,15 @@ def _request(line: bytes) -> tuple[Context, list[str]]:
 
 
 def serve_requests(
-    transport,
-    score_fn: Callable[[Context, list[str]], dict[str, float]],
-    max_requests: int | None = None,
+    transport, score_fn: Callable[[Context, list[str]], dict[str, float]]
 ) -> int:
-    """Answer RemotePolicy requests from a byte stream. Returns count served.
+    """Answer RemotePolicy requests until the stream ends. Returns count served.
 
     A malformed request line is answered with {"error": "..."} and counts
     as served; the loop keeps reading.
     """
     served = 0
-    while max_requests is None or served < max_requests:
-        line = transport.readline()
-        if not line:
-            break
+    while line := transport.readline():
         try:
             ctx, allowed = _request(line)
         except PeerProtocolError as exc:

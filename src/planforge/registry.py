@@ -86,8 +86,6 @@ class ToolRegistry:
 
 
 def register_tool(registry: ToolRegistry, spec: ToolSpec) -> ToolRegistry:
-    if spec.name in registry:
-        raise DuplicateName(f"tool registered twice: {spec.name}")
     return ToolRegistry(registry.tools + (spec,))
 
 
@@ -128,18 +126,6 @@ def compatible_successors(
     count here; they are only reachable through joins.
     """
     return tuple([spec for spec in registry._first_slot[modality] if spec.name not in used])
-
-
-def registry_to_json(registry: ToolRegistry) -> list[dict]:
-    return [
-        {
-            "name": spec.name,
-            "inputs": [m.value for m in spec.inputs],
-            "output": spec.output.value,
-            "semantic": spec.semantic.value,
-        }
-        for spec in registry
-    ]
 
 
 def registry_from_json(docs: list[dict]) -> ToolRegistry:

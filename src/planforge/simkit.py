@@ -194,11 +194,7 @@ def make_leaf(modality: Modality, content_id: str, language: Language | None = N
     return Payload(modality=modality, expr=content_id, language=language)
 
 
-def apply_corruption(
-    payload: Payload,
-    corruption: Corruption,
-    constants: SimConstants = DEFAULT_CONSTANTS,
-) -> Payload:
+def apply_corruption(payload: Payload, corruption: Corruption) -> Payload:
     """Push one corruption onto the payload's stack.
 
     Translate is only defined on English text and flips the language
@@ -224,13 +220,9 @@ def apply_corruption(
     )
 
 
-def apply_chain(
-    payload: Payload,
-    chain: tuple[Corruption, ...],
-    constants: SimConstants = DEFAULT_CONSTANTS,
-) -> Payload:
+def apply_chain(payload: Payload, chain: tuple[Corruption, ...]) -> Payload:
     for corruption in chain:
-        payload = apply_corruption(payload, corruption, constants)
+        payload = apply_corruption(payload, corruption)
     return payload
 
 

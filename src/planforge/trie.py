@@ -35,20 +35,11 @@ def build_trie(names: Iterable[str]) -> TrieNode:
     return root
 
 
-def _walk(root: TrieNode, words: Sequence[str]) -> TrieNode:
+def children_after(root: TrieNode, words: Sequence[str]) -> frozenset[str]:
+    """Word tokens that can legally follow the given prefix."""
     node = root
     for word in words:
         if word not in node.children:
             raise KeyError(f"no name continues {' '.join(words)!r}")
         node = node.children[word]
-    return node
-
-
-def children_after(root: TrieNode, words: Sequence[str]) -> frozenset[str]:
-    """Word tokens that can legally follow the given prefix."""
-    return frozenset(_walk(root, words).children)
-
-
-def terminal_at(root: TrieNode, words: Sequence[str]) -> str | None:
-    """The complete name spelled by the prefix, if any."""
-    return _walk(root, words).terminal
+    return frozenset(node.children)

@@ -256,7 +256,7 @@ def _random_params_for(plan, task, registry, rng) -> PolicyParams:
     for step in replay_steps(plan, task, registry):
         for action in step.actions:
             for level in context_levels(step.context):
-                params.values[(level, action)] = rng.gauss(0.0, 1.0)
+                params[(level, action)] = rng.gauss(0.0, 1.0)
     return params
 
 
@@ -282,9 +282,9 @@ def test_criterion_5_gradient_matches_finite_differences(catalog, registry) -> N
             grad = grad_log_prob(params, plan, task, registry)
             for key, got in grad.items():
                 up = params.copy()
-                up.values[key] = up.get(*key) + h
+                up[key] = up.get(key, 0.0) + h
                 down = params.copy()
-                down.values[key] = down.get(*key) - h
+                down[key] = down.get(key, 0.0) - h
                 fd = (
                     log_prob(up, plan, task, registry)
                     - log_prob(down, plan, task, registry)

@@ -13,8 +13,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from planforge.benchgen import catalog_from_json
 from planforge.cli import _dumps, _json_array, main
+from planforge.context import context_levels, context_to_json
+from planforge.decoder import initial_state, step_frontier
 from planforge.executor import execute_task
+from planforge.registry import default_registry
 
 TINY_CONFIG = {
     "catalog": {
@@ -382,6 +386,43 @@ def test_checkpoint_cases_start_from_a_loadable_checkpoint(ws, tmp_path) -> None
     path.write_text(json.dumps(_checkpoint()))
     argv = ws["base"][:2] + ["--out", str(tmp_path / "x"), "eval", "--task", "ii-000"]
     assert main(argv + ["--catalog", str(ws["catalog"]), "--checkpoint", str(path)]) == 0
+
+
+def _overflowing_checkpoint(catalog_path: Path, task_id: str) -> dict:
+    """Finite weights whose two levels sum to inf on the task's first step."""
+    task = next(t for t in catalog_from_json(json.loads(catalog_path.read_text())) if t.id == task_id)
+    frontier = step_frontier(initial_state(task), task, default_registry(), 1)
+    params = [
+        {"context": context_to_json(level), "token": frontier.actions[0], "value": 1e308}
+        for level in context_levels(frontier.context)
+    ]
+    return {"version": 1, "params": params}
+
+
+@pytest.mark.parametrize("command", ["plan", "train"])
+def test_non_finite_output_is_a_one_line_error_and_no_file(ws, tmp_path, capsys, command) -> None:
+    """Finite inputs can overflow: a checkpoint that sums to inf makes
+    plan's log_prob NaN, and train.lr 1e308 over four epochs makes the
+    trained weights NaN and infinite. Strict JSON has neither, so nothing is written."""
+    out = tmp_path / "x"
+    config = tmp_path / "config.json"
+    if command == "plan":
+        config.write_text(json.dumps(TINY_CONFIG))
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(_overflowing_checkpoint(ws["catalog"], "ii-000")))
+        argv = ["plan", "--task", "ii-000", "--checkpoint", str(checkpoint)]
+        written = out / "plans.json"
+    else:
+        config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "epochs": 4, "lr": 1e308}}))
+        argv = ["train"]
+        written = out / "checkpoint.json"
+    assert main(["--config", str(config), "--out", str(out), *argv, "--catalog", str(ws["catalog"])]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "EngineError"
+    assert error["message"].startswith(f"cannot write {written}: ")
+    assert not out.exists()
 
 
 def test_missing_registry_file_is_an_engine_error(tmp_path, capsys) -> None:

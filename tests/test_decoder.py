@@ -16,7 +16,7 @@ from planforge.benchgen import (
     oracle_best_plan,
     required_oracle_depth,
 )
-from planforge.context import BOS, END_TOKEN
+from planforge.context import BOS, END_TOKEN, Context
 from planforge.decoder import (
     DecoderConfig,
     ReplayStep,
@@ -342,7 +342,7 @@ _SPACES = {category: category_space(category, CatalogConfig()) for category in T
 def _case_policy(table_seed: int | None):
     if table_seed is None:
         return UniformPolicy()
-    return TabularPolicy(PolicyParams(_RandomTable(table_seed)))
+    return TabularPolicy(_RandomTable(table_seed))
 
 
 @st.composite
@@ -640,8 +640,8 @@ def test_score_memo_changes_no_decode(beam_case, sample_case) -> None:
     sampled episodes, so later calls read scores the earlier ones stored.
     """
     category, chains, builder, beam_size, table_seed = beam_case
-    params = PolicyParams(_RandomTable(table_seed or 0))
-    memoised, fresh = TabularPolicy(params), _UnmemoisedPolicy(params)
+    memoised = _case_policy(table_seed or 0)
+    fresh = _UnmemoisedPolicy(memoised.params)
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
     cfg = DecoderConfig(beam_size=beam_size)
     outcomes = []
@@ -669,3 +669,13 @@ def test_score_memo_changes_no_decode(beam_case, sample_case) -> None:
                 plans.append(None)
         outcomes.append(plans)
     assert outcomes[0] == outcomes[1]
+
+
+def test_random_table_policies_score_non_uniformly() -> None:
+    """The tabular policies above read _RandomTable's own get; a copy into a
+    plain dict would drop it and score every step uniformly."""
+    ctx = Context(TaskCategory.IMAGE_TO_IMAGE.value, BOS, I.value, "fix:Blur")
+    actions = list(_REGISTRY.names())
+    policy = _case_policy(0)
+    for scorer in (policy, _UnmemoisedPolicy(policy.params)):
+        assert len(set(scorer.score_step(ctx, actions, None).values())) > 1

@@ -37,7 +37,7 @@ CTX = Context("image_to_image", "Image Denoising", "Image", "fix:Blur")
 
 def test_score_tokens_is_log_softmax() -> None:
     params = PolicyParams()
-    params.values[(CTX, "a")] = 1.0
+    params[(CTX, "a")] = 1.0
     scores = score_tokens(params, CTX, ["a", "b"])
     assert math.isclose(math.exp(scores["a"]), math.e / (math.e + 1))
     assert math.isclose(sum(math.exp(s) for s in scores.values()), 1.0)
@@ -60,7 +60,7 @@ def _random_params_for(plan, task, registry, rng) -> PolicyParams:
     for step in replay_steps(plan, task, registry):
         for action in step.actions:
             for level in context_levels(step.context):
-                params.values[(level, action)] = rng.gauss(0.0, 1.0)
+                params[(level, action)] = rng.gauss(0.0, 1.0)
     return params
 
 
@@ -76,9 +76,9 @@ def test_grad_matches_finite_differences(catalog, registry) -> None:
             assert grad
             for key, got in grad.items():
                 up = params.copy()
-                up.values[key] = up.get(*key) + h
+                up[key] = up.get(key, 0.0) + h
                 down = params.copy()
-                down.values[key] = down.get(*key) - h
+                down[key] = down.get(key, 0.0) - h
                 fd = (
                     log_prob(up, plan, task, registry)
                     - log_prob(down, plan, task, registry)
@@ -122,12 +122,12 @@ def test_grad_aggregates_per_step_terms(catalog, registry) -> None:
 
 def test_apply_gradient_scales_and_accumulates() -> None:
     params = PolicyParams()
-    params.values[(CTX, "a")] = 1.0
+    params[(CTX, "a")] = 1.0
     out = apply_gradient(params, {(CTX, "a"): 2.0, (CTX, "b"): -4.0}, scale=0.5)
-    assert out.get(CTX, "a") == 2.0
-    assert out.get(CTX, "b") == -2.0
+    assert out.get((CTX, "a"), 0.0) == 2.0
+    assert out.get((CTX, "b"), 0.0) == -2.0
     # The input is not mutated.
-    assert params.get(CTX, "b") == 0.0
+    assert params.get((CTX, "b"), 0.0) == 0.0
 
 
 def test_pretraining_raises_gold_likelihood(catalog, registry) -> None:
@@ -148,12 +148,12 @@ def test_pretraining_raises_gold_likelihood(catalog, registry) -> None:
 
 def test_params_json_round_trip() -> None:
     params = PolicyParams()
-    params.values[(CTX, "a")] = -0.12345678901234567
-    params.values[(Context("x", "*", "Text", "end"), "<end>")] = 3.5
+    params[(CTX, "a")] = -0.12345678901234567
+    params[(Context("x", "*", "Text", "end"), "<end>")] = 3.5
     doc = params_to_json(params)
     assert doc["version"] == 1
     back = params_from_json(doc)
-    assert back.values == params.values
+    assert back == params
 
 
 _FIELDS = st.text(alphabet="ab*", max_size=2)

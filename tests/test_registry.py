@@ -16,7 +16,6 @@ from planforge.registry import (
     default_registry,
     register_tool,
     registry_from_json,
-    registry_to_json,
 )
 from planforge.simkit import SEMANTIC_SIGNATURES, Modality, SemanticId
 
@@ -93,7 +92,15 @@ def test_tool_spec_validates_against_semantic() -> None:
 
 
 def test_registry_json_round_trip() -> None:
-    doc = registry_to_json(REG)
+    doc = [
+        {
+            "name": spec.name,
+            "inputs": [m.value for m in spec.inputs],
+            "output": spec.output.value,
+            "semantic": spec.semantic.value,
+        }
+        for spec in REG
+    ]
     back = registry_from_json(doc)
     assert back.names() == REG.names()
     assert [t.semantic for t in back] == [t.semantic for t in REG]

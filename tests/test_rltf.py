@@ -96,7 +96,7 @@ def test_zero_learning_rate_changes_nothing(registry) -> None:
     params = PolicyParams()
     batch = [(replay_steps(good, task, registry), 1.0), (replay_steps(bad, task, registry), 0.2)]
     updated, _ = reinforce_step(params, batch, BaselineState(), 0.0)
-    assert all(v == 0.0 for v in updated.values.values())
+    assert all(v == 0.0 for v in updated.values())
 
 
 def test_train_records_history_and_decays_epsilon(catalog, registry) -> None:
@@ -109,7 +109,7 @@ def test_train_records_history_and_decays_epsilon(catalog, registry) -> None:
     assert math.isclose(history[2].epsilon, 0.2 * 0.9 * 0.9)
     for row in history:
         assert 0.0 <= row.mean_reward <= 1.0
-    assert params.values  # something was learned
+    assert params  # something was learned
 
 
 def test_gold_plans_are_valid_and_replayable(catalog, registry) -> None:
@@ -210,9 +210,9 @@ def test_training_matches_the_reference_loop(small_split, registry) -> None:
     expected, expected_history = _reference_train(expected_pre, tasks, registry, cfg)
 
     pre = pretrain_supervised(PolicyParams(), golds, registry, cfg.pretrain_epochs, 0.1)
-    assert list(pre.values.items()) == list(expected_pre.values.items())
+    assert list(pre.items()) == list(expected_pre.items())
     params, history = train(pre, tasks, registry, cfg)
-    assert list(params.values.items()) == list(expected.values.items())
+    assert list(params.items()) == list(expected.items())
     assert history == expected_history
 
 
@@ -242,7 +242,7 @@ def test_training_executes_each_distinct_episode_once_and_never_replays(
         return expected_action(*args)
 
     monkeypatch.setattr(planforge.policy, "replay_steps", counting(replayed, replay_steps))
-    assert pretrain_supervised(PolicyParams(), golds, registry, 0).values == {}
+    assert pretrain_supervised(PolicyParams(), golds, registry, 0) == {}
     assert replayed == []
     params = pretrain_supervised(PolicyParams(), golds, registry, 5)
     assert Counter(replayed) == Counter((task.id, plan) for task, plan in golds)

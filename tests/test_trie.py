@@ -5,16 +5,24 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from planforge.errors import DuplicateName, EmptyNameSet
-from planforge.trie import build_trie, children_after, terminal_at
+from planforge.trie import build_trie, children_after
+
+
+def _terminal_at(root, words):
+    """The complete name spelled by the prefix, if any."""
+    node = root
+    for word in words:
+        node = node.children[word]
+    return node.terminal
 
 
 def test_two_name_example() -> None:
     root = build_trie(["Text Summarization", "Text to Image Generation"])
     assert children_after(root, []) == frozenset({"Text"})
     assert children_after(root, ["Text"]) == frozenset({"Summarization", "to"})
-    assert terminal_at(root, ["Text", "Summarization"]) == "Text Summarization"
-    assert terminal_at(root, ["Text"]) is None
-    assert terminal_at(root, ["Text", "to", "Image", "Generation"]) == "Text to Image Generation"
+    assert _terminal_at(root, ["Text", "Summarization"]) == "Text Summarization"
+    assert _terminal_at(root, ["Text"]) is None
+    assert _terminal_at(root, ["Text", "to", "Image", "Generation"]) == "Text to Image Generation"
 
 
 def test_default_registry_paths(registry) -> None:
@@ -24,7 +32,7 @@ def test_default_registry_paths(registry) -> None:
         {"Classification", "Deblurring", "Denoising", "Super", "Captioning"}
     )
     for name in registry.names():
-        assert terminal_at(root, name.split()) == name
+        assert _terminal_at(root, name.split()) == name
 
 
 def test_bad_prefix_raises() -> None:
@@ -56,4 +64,4 @@ def test_every_name_is_a_terminal_path_and_nothing_else(names: list[str]) -> Non
     root = build_trie(names)
     assert sorted(_walk_terminals(root)) == sorted(names)
     for name in names:
-        assert terminal_at(root, name.split()) == name
+        assert _terminal_at(root, name.split()) == name
