@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .decoder import replay_steps
+from .decoder import ReplayStep, replay_steps
 from .errors import EngineError, InfeasibleCount, InvalidPlan, NoFeasiblePlan, reading
 from .evalkit import assign_slot, task_reward
 from .plan_ir import (
@@ -397,6 +397,7 @@ class OracleResult:
     best_plan: PlanGraph
     best_reward: float
     plans_examined: int
+    best_steps: list[ReplayStep] | None
 
 
 def _plan(
@@ -543,7 +544,8 @@ def oracle_best_plan(
     lexicographically smallest plan document (``json.dumps`` of
     ``plan_to_json`` with sorted keys). With ``replayable_only``, a
     candidate that would become the best is kept only if the decoder
-    can replay it.
+    can replay it, and ``best_steps`` is that replay of the winner;
+    without it, ``best_steps`` is None.
 
     The search never builds a payload. Chains walk a tool-dynamics
     table local to the call (see `_DynamicsTable`), so each tool runs
@@ -609,6 +611,7 @@ def oracle_best_plan(
     best_score, best_len = -1.0, 0
     best_plan: PlanGraph | None = None
     best_doc: str | None = None
+    best_steps: list[ReplayStep] | None = None
 
     def tails_from(modality: Modality, shape: Shape | None) -> tuple:
         key = (modality, shape)
@@ -639,7 +642,7 @@ def oracle_best_plan(
         """Every candidate of a head: its tails from `tails_from`, its
         quality, ops (None if its join raises), tool set and node count,
         and the `_plan` heads and join that build it."""
-        nonlocal examined, best_score, best_len, best_plan, best_doc
+        nonlocal examined, best_score, best_len, best_plan, best_doc, best_steps
         key, tails, distinct_ops, tools = found
         if quality < best_score:
             # No tail scores above the head's quality: count them only.
@@ -677,12 +680,13 @@ def oracle_best_plan(
                     best_doc = json.dumps(plan_to_json(best_plan), sort_keys=True)
                 if doc >= best_doc:
                     continue
+            steps = None
             if replayable_only:
                 try:
-                    replay_steps(plan, task, registry)
+                    steps = replay_steps(plan, task, registry)
                 except InvalidPlan:
                     continue
-            best_score, best_len, best_plan, best_doc = value, n_nodes, plan, doc
+            best_score, best_len, best_plan, best_doc, best_steps = value, n_nodes, plan, doc, steps
 
     if len(task.input_signature) == 1:
         start = sample.inputs[0]
@@ -728,4 +732,6 @@ def oracle_best_plan(
     if best_plan is None:
         raise NoFeasiblePlan(f"no plan reaches {target.value} for {task.id}")
     reward = task_reward(best_plan, task, registry, constants)
-    return OracleResult(best_plan=best_plan, best_reward=reward, plans_examined=examined)
+    return OracleResult(
+        best_plan=best_plan, best_reward=reward, plans_examined=examined, best_steps=best_steps
+    )

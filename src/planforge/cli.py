@@ -31,15 +31,9 @@ from .evalkit import comparison_to_csv, evaluate, report_to_json
 from .executor import execute_task, trace_record
 from .parser import extract_sequence
 from .plan_ir import TaskSpec, plan_from_json, plan_to_json, task_to_json, validate_plan
-from .policy import (
-    PolicyParams,
-    TabularPolicy,
-    params_from_json,
-    params_to_json,
-    pretrain_supervised,
-)
+from .policy import PolicyParams, TabularPolicy, params_from_json, params_to_json
 from .registry import default_registry, registry_from_json
-from .rltf import gold_plans, run_schema_comparison, train
+from .rltf import fit, run_schema_comparison
 
 
 def _manifest(cfg: EngineConfig, command: str, seed: int | None) -> dict:
@@ -226,12 +220,15 @@ def _cmd_parse(args, cfg: EngineConfig) -> int:
     return 0
 
 
-def _history_csv(history, manifest: dict) -> str:
+def _write_trained(out: Path, manifest: dict, params: PolicyParams, history) -> None:
+    """Write checkpoint.json, then history.csv. The checkpoint goes first:
+    a table that overflowed is refused before anything is written."""
+    _write_json(out / "checkpoint.json", {"manifest": manifest, **params_to_json(params)})
     lines = [f"# manifest {json.dumps(manifest, sort_keys=True)}"]
     lines.append("epoch,mean_reward,baseline,epsilon")
     for row in history:
         lines.append(f"{row.epoch},{row.mean_reward:.6f},{row.baseline:.6f},{row.epsilon:.6f}")
-    return "\n".join(lines) + "\n"
+    _write_text(out / "history.csv", "\n".join(lines) + "\n")
 
 
 def _cmd_train(args, cfg: EngineConfig) -> int:
@@ -239,14 +236,8 @@ def _cmd_train(args, cfg: EngineConfig) -> int:
     registry = _load_registry(cfg)
     catalog = _load_catalog(args.catalog)
     train_tasks, _, _ = split_train_test(catalog, cfg.train.seed)
-    golds = gold_plans(train_tasks, registry, cfg.sim)
-    params = pretrain_supervised(
-        PolicyParams(), golds, registry, cfg.train.pretrain_epochs, cfg.train.pretrain_lr
-    )
-    params, history = train(params, train_tasks, registry, cfg.train, cfg.sim)
-    manifest = _manifest(cfg, "train", cfg.train.seed)
-    _write_json(out / "checkpoint.json", {"manifest": manifest, **params_to_json(params)})
-    _write_text(out / "history.csv", _history_csv(history, manifest))
+    _, params, history = fit(train_tasks, registry, cfg.train, cfg.sim)
+    _write_trained(out, _manifest(cfg, "train", cfg.train.seed), params, history)
     final = history[-1].mean_reward if history else 0.0
     print(f"trained on {len(train_tasks)} tasks, final epoch mean reward {final:.6f}")
     return 0
@@ -274,6 +265,7 @@ def _cmd_compare(args, cfg: EngineConfig) -> int:
         train_tasks, test_tasks, registry, cfg.train, cfg.decoder, cfg.sim
     )
     manifest = _manifest(cfg, "compare", cfg.train.seed)
+    _write_trained(out, manifest, result.trained_params, result.history)
     _write_text(out / "report.csv", comparison_to_csv(result.tables, manifest))
     _write_json(
         out / "report.json",
@@ -284,10 +276,6 @@ def _cmd_compare(args, cfg: EngineConfig) -> int:
                 for name, table in result.tables.items()
             },
         },
-    )
-    _write_text(out / "history.csv", _history_csv(result.history, manifest))
-    _write_json(
-        out / "checkpoint.json", {"manifest": manifest, **params_to_json(result.trained_params)}
     )
     for name, table in result.tables.items():
         overall = "n/a" if table is None else f"{table.overall:.6f}"

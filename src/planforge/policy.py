@@ -103,21 +103,14 @@ def _add_gradient(
 
 
 def pretrain_supervised(
-    params: PolicyParams,
-    labeled: Sequence[tuple[TaskSpec, PlanGraph]],
-    registry: ToolRegistry,
-    epochs: int,
-    lr: float = 0.1,
+    params: PolicyParams, episodes: Sequence[list[ReplayStep]], epochs: int, lr: float
 ) -> PolicyParams:
-    """Maximize the log-likelihood of gold plans, one example at a time.
+    """Maximize the log-likelihood of gold episodes, one example at a time.
 
-    Each gold plan is replayed once; its steps do not depend on the
-    parameters, so every epoch reuses them.
+    An episode is a gold plan's decoding steps; they do not depend on
+    the parameters, so every epoch reuses them and nothing is replayed.
     """
     current = params.copy()
-    if epochs <= 0:
-        return current
-    episodes = [replay_steps(plan, task, registry) for task, plan in labeled]
     for _ in range(epochs):
         for steps in episodes:
             _add_gradient(current, grad_log_prob_steps(current, steps), lr)

@@ -10,7 +10,9 @@ that batch's mean reward.
 Exploration is epsilon-greedy at the token level inside the sampler and
 decays once per epoch. A supervised pretraining pass over gold plans
 gives the policy a warm start; reinforcement then fixes what imitation
-got wrong and adapts to the reward surface.
+got wrong and adapts to the reward surface. `fit` is that sequence:
+the oracle's gold plans, with the decoding steps its replay check
+already walked, then pretraining on those steps, then reinforcement.
 """
 
 from __future__ import annotations
@@ -162,22 +164,32 @@ def gold_plans(
     tasks: tuple[TaskSpec, ...] | list[TaskSpec],
     registry: ToolRegistry,
     constants: SimConstants = DEFAULT_CONSTANTS,
-) -> list[tuple[TaskSpec, PlanGraph]]:
-    """Oracle plans at each task's tight depth, restricted to plans the
-    decoder can actually emit so they are usable as imitation targets."""
-    return [
-        (
-            task,
-            oracle_best_plan(
-                task,
-                registry,
-                required_oracle_depth(task),
-                constants,
-                replayable_only=True,
-            ).best_plan,
+) -> list[tuple[TaskSpec, PlanGraph, list[ReplayStep]]]:
+    """(task, plan, steps) per task: the oracle plan at the task's tight
+    depth, restricted to plans the decoder can actually emit so they are
+    usable as imitation targets, and the decoding steps of that plan,
+    which the oracle's replay check already walked."""
+    golds = []
+    for task in tasks:
+        result = oracle_best_plan(
+            task, registry, required_oracle_depth(task), constants, replayable_only=True
         )
-        for task in tasks
-    ]
+        golds.append((task, result.best_plan, result.best_steps))
+    return golds
+
+
+def fit(
+    tasks: tuple[TaskSpec, ...] | list[TaskSpec],
+    registry: ToolRegistry,
+    cfg: TrainConfig,
+    constants: SimConstants = DEFAULT_CONSTANTS,
+) -> tuple[PolicyParams, PolicyParams, tuple[HistoryRow, ...]]:
+    """Pretrain an empty table on the tasks' gold episodes, then reinforce
+    it. Returns the pretrained table, the trained table and the history."""
+    episodes = [steps for _, _, steps in gold_plans(tasks, registry, constants)]
+    supervised = pretrain_supervised(PolicyParams(), episodes, cfg.pretrain_epochs, cfg.pretrain_lr)
+    trained, history = train(supervised, tasks, registry, cfg, constants)
+    return supervised, trained, history
 
 
 @dataclass
@@ -200,26 +212,12 @@ def run_schema_comparison(
     The few-shot schema needs in-context examples and has no analogue
     here, so its column is reported as unavailable.
     """
-    zero_table = evaluate(TabularPolicy(PolicyParams()), test_tasks, registry, eval_cfg, constants)
-
-    golds = gold_plans(train_tasks, registry, constants)
-    supervised_params = pretrain_supervised(
-        PolicyParams(), golds, registry, cfg.pretrain_epochs, cfg.pretrain_lr
-    )
-    supervised_table = evaluate(
-        TabularPolicy(supervised_params), test_tasks, registry, eval_cfg, constants
-    )
-
-    trained_params, history = train(supervised_params, train_tasks, registry, cfg, constants)
-    rltf_table = evaluate(TabularPolicy(trained_params), test_tasks, registry, eval_cfg, constants)
-
-    return ComparisonResult(
-        tables={
-            "zero": zero_table,
-            "few": None,
-            "supervised": supervised_table,
-            "rltf": rltf_table,
-        },
-        trained_params=trained_params,
-        history=history,
-    )
+    supervised, trained, history = fit(train_tasks, registry, cfg, constants)
+    schemas = {"zero": PolicyParams(), "few": None, "supervised": supervised, "rltf": trained}
+    tables = {
+        name: None if params is None else evaluate(
+            TabularPolicy(params), test_tasks, registry, eval_cfg, constants
+        )
+        for name, params in schemas.items()
+    }
+    return ComparisonResult(tables=tables, trained_params=trained, history=history)

@@ -322,7 +322,7 @@ def test_criterion_7_rltf_convergence(comparison, registry) -> None:
     train_table = evaluate(trained, train_tasks, registry, DecoderConfig())
     train_mean = fmean(reward for _, reward in train_table.per_task)
     oracle_mean = fmean(
-        task_reward(plan, task, registry) for task, plan in gold_plans(train_tasks, registry)
+        task_reward(plan, task, registry) for task, plan, _ in gold_plans(train_tasks, registry)
     )
     zero_overall = result.tables["zero"].overall
     rltf_overall = result.tables["rltf"].overall

@@ -424,4 +424,5 @@ def test_oracle_matches_naive_reference(case) -> None:
     result = oracle_best_plan(task, _REGISTRY, depth, replayable_only=replayable_only)
     assert result.best_plan == plan
     assert result.plans_examined == candidates
+    assert result.best_steps == (replay_steps(plan, task, _REGISTRY) if replayable_only else None)
     assert result.best_reward == fmean(_naive_score(plan, s, _REGISTRY) for s in task.dataset)

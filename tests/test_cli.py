@@ -399,11 +399,12 @@ def _overflowing_checkpoint(catalog_path: Path, task_id: str) -> dict:
     return {"version": 1, "params": params}
 
 
-@pytest.mark.parametrize("command", ["plan", "train"])
+@pytest.mark.parametrize("command", ["plan", "train", "compare"])
 def test_non_finite_output_is_a_one_line_error_and_no_file(ws, tmp_path, capsys, command) -> None:
     """Finite inputs can overflow: a checkpoint that sums to inf makes
     plan's log_prob NaN, and train.lr 1e308 over four epochs makes the
-    trained weights NaN and infinite. Strict JSON has neither, so nothing is written."""
+    trained weights NaN and infinite, in train and in compare. Strict JSON
+    has neither, so nothing is written."""
     out = tmp_path / "x"
     config = tmp_path / "config.json"
     if command == "plan":
@@ -414,7 +415,7 @@ def test_non_finite_output_is_a_one_line_error_and_no_file(ws, tmp_path, capsys,
         written = out / "plans.json"
     else:
         config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "epochs": 4, "lr": 1e308}}))
-        argv = ["train"]
+        argv = [command]
         written = out / "checkpoint.json"
     assert main(["--config", str(config), "--out", str(out), *argv, "--catalog", str(ws["catalog"])]) == 1
     err = capsys.readouterr().err

@@ -137,7 +137,8 @@ def test_pretraining_raises_gold_likelihood(catalog, registry) -> None:
         for t in tasks
     ]
     before = sum(log_prob(PolicyParams(), p, t, registry) for t, p in labeled)
-    trained = pretrain_supervised(PolicyParams(), labeled, registry, epochs=50, lr=0.1)
+    episodes = [replay_steps(p, t, registry) for t, p in labeled]
+    trained = pretrain_supervised(PolicyParams(), episodes, epochs=50, lr=0.1)
     after = sum(log_prob(trained, p, t, registry) for t, p in labeled)
     assert after > before
     greedy = TabularPolicy(trained)

@@ -28,6 +28,7 @@ from planforge.rltf import (
     BaselineState,
     HistoryRow,
     TrainConfig,
+    fit,
     gold_plans,
     reinforce_step,
     train,
@@ -115,11 +116,11 @@ def test_train_records_history_and_decays_epsilon(catalog, registry) -> None:
 def test_gold_plans_are_valid_and_replayable(catalog, registry) -> None:
     tasks = list(catalog)[:4] + [next(t for t in catalog if len(t.input_signature) == 2)]
     labeled = gold_plans(tasks, registry)
-    assert [t.id for t, _ in labeled] == [t.id for t in tasks]
-    for task, plan in labeled:
+    assert [t.id for t, _, _ in labeled] == [t.id for t in tasks]
+    for task, plan, steps in labeled:
         assert validate_plan(plan, registry, task.input_signature, task.output_modality).ok
-        steps = replay_steps(plan, task, registry)
         assert steps
+        assert steps == replay_steps(plan, task, registry)
         assert math.isfinite(log_prob(PolicyParams(), plan, task, registry))
 
 
@@ -140,7 +141,7 @@ def _reference_pretrain(params, labeled, registry, epochs, lr):
     """Supervised pretraining as first written: replay and copy the table every step."""
     current = params.copy()
     for _ in range(epochs):
-        for task, plan in labeled:
+        for task, plan, _ in labeled:
             current = apply_gradient(current, grad_log_prob(current, plan, task, registry), lr)
     return current
 
@@ -209,17 +210,24 @@ def test_training_matches_the_reference_loop(small_split, registry) -> None:
     expected_pre = _reference_pretrain(PolicyParams(), golds, registry, cfg.pretrain_epochs, 0.1)
     expected, expected_history = _reference_train(expected_pre, tasks, registry, cfg)
 
-    pre = pretrain_supervised(PolicyParams(), golds, registry, cfg.pretrain_epochs, 0.1)
+    episodes = [steps for _, _, steps in golds]
+    pre = pretrain_supervised(PolicyParams(), episodes, cfg.pretrain_epochs, 0.1)
     assert list(pre.items()) == list(expected_pre.items())
     params, history = train(pre, tasks, registry, cfg)
     assert list(params.items()) == list(expected.items())
     assert history == expected_history
 
+    supervised, trained, fit_history = fit(tasks, registry, cfg)
+    assert list(supervised.items()) == list(expected_pre.items())
+    assert list(trained.items()) == list(expected.items())
+    assert fit_history == expected_history
+
 
 def test_training_executes_each_distinct_episode_once_and_never_replays(
     small_split, registry, monkeypatch
 ) -> None:
-    """Rollouts carry the steps the sampler recorded: `train` executes
+    """Pretraining takes the gold episodes the oracle walked and replays
+    none. Rollouts carry the steps the sampler recorded: `train` executes
     each distinct sampled plan once and replays none. Counting
     `decoder.expected_action` catches a replay made from any module."""
     tasks, golds = small_split
@@ -242,17 +250,18 @@ def test_training_executes_each_distinct_episode_once_and_never_replays(
         return expected_action(*args)
 
     monkeypatch.setattr(planforge.policy, "replay_steps", counting(replayed, replay_steps))
-    assert pretrain_supervised(PolicyParams(), golds, registry, 0) == {}
+    monkeypatch.setattr(planforge.decoder, "expected_action", counting_expected)
+    episodes = [steps for _, _, steps in golds]
+    assert pretrain_supervised(PolicyParams(), episodes, 0, 0.1) == {}
+    params = pretrain_supervised(PolicyParams(), episodes, 5, 0.1)
+    assert params
     assert replayed == []
-    params = pretrain_supervised(PolicyParams(), golds, registry, 5)
-    assert Counter(replayed) == Counter((task.id, plan) for task, plan in golds)
+    assert expected == []
 
     monkeypatch.setattr(
         planforge.evalkit, "sample_scores", counting(executed, planforge.evalkit.sample_scores)
     )
-    monkeypatch.setattr(planforge.decoder, "expected_action", counting_expected)
     monkeypatch.setattr(planforge.rltf, "sample_plan", recording_sample)
-    replayed.clear()
     train(params, tasks, registry, TrainConfig(epochs=4, rollouts_per_task=4, epsilon=0.3))
     assert len(sampled) > len(set(sampled))
     assert Counter(executed) == Counter(set(sampled))
