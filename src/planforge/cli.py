@@ -167,7 +167,7 @@ def _cmd_plan(args, cfg: EngineConfig) -> int:
     registry = _load_registry(cfg)
     tasks = _select_tasks(args, cfg)
     policy = _load_policy(args)
-    plans = {}
+    plans, lines = {}, []
     for task in tasks:
         ranked = beam_search(policy, task, registry, cfg.decoder)
         plans[task.id] = {
@@ -175,8 +175,10 @@ def _cmd_plan(args, cfg: EngineConfig) -> int:
             "log_prob": ranked[0].log_prob,
         }
         tools = " -> ".join(node.tool for node in ranked[0].plan.nodes)
-        print(f"{task.id}: {tools}")
+        lines.append(f"{task.id}: {tools}\n")
+    # Printed only once plans.json is written, so a failing write prints no plan.
     _write_json(out / "plans.json", {"manifest": _manifest(cfg, "plan", None), "plans": plans})
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -6,13 +6,18 @@ shared level with the previous tool wildcarded and the full context;
 the effective logit is their sum, so rare full contexts back off to
 behavior learned across previous tools. Scores returned to the decoder
 are always normalized log-probabilities over the offered action set.
+
+Every training gradient, supervised or reinforced, is taken from an
+episode compiled once into gradient rows (`compile_episode`): per step,
+each offered token's table keys at every level, and the chosen token.
+`grad_log_prob` compiles a plan's replay and takes the same gradient.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .context import Context, context_from_json, context_levels, context_to_json
 from .decoder import BeamState, ReplayStep, expected_action, replay_steps
@@ -61,28 +66,59 @@ def grad_log_prob(
     params: PolicyParams, plan: PlanGraph, task: TaskSpec, registry: ToolRegistry
 ) -> dict[tuple[Context, str], float]:
     """Gradient of log_prob with respect to every touched table entry."""
-    return grad_log_prob_steps(params, replay_steps(plan, task, registry))
+    return grad_log_prob_episode(params, compile_episode(replay_steps(plan, task, registry)))
 
 
-def grad_log_prob_steps(
-    params: PolicyParams, steps: Sequence[ReplayStep]
+class GradientRow(NamedTuple):
+    """One decoding step, compiled for the gradient: per offered token, in
+    the step's action order, its table key at each backoff level; and the
+    index of the chosen token."""
+
+    keys: tuple[tuple[tuple[Context, str], ...], ...]
+    chosen: int
+
+
+CompiledEpisode = tuple[GradientRow, ...]
+
+
+def compile_episode(steps: Sequence[ReplayStep]) -> CompiledEpisode:
+    """An episode's gradient rows. They depend only on the steps, not on the
+    parameters, so training compiles each episode once and reuses it."""
+    rows = []
+    for step in steps:
+        levels = context_levels(step.context)
+        keys = tuple(tuple((level, token) for level in levels) for token in step.actions)
+        rows.append(GradientRow(keys, step.actions.index(step.chosen)))
+    return tuple(rows)
+
+
+def grad_log_prob_episode(
+    params: PolicyParams, episode: CompiledEpisode
 ) -> dict[tuple[Context, str], float]:
-    """Gradient of the log-probability of a replayed episode.
+    """Gradient of the log-probability of a compiled episode.
 
     Per step and token the softmax gradient is (chosen - p); it lands on
     each backoff level of the step context, so both levels of the sum
     contribute and the per-level gradient sums to zero across tokens.
+    The float operations are those of `_level_log_probs`, in its order:
+    a logit is `sum` over the levels, which starts from int 0, so a lone
+    -0.0 level reads 0.0.
     """
+    get = params.get
+    exp = math.exp
     grad: dict[tuple[Context, str], float] = {}
-    for step in steps:
-        levels = context_levels(step.context)
-        log_probs = _level_log_probs(params, levels, step.actions)
-        for token in step.actions:
-            g = (1.0 if token == step.chosen else 0.0) - math.exp(log_probs[token])
+    for keys, chosen in episode:
+        if len(keys[0]) == 1:
+            logits = [0 + get(key, 0.0) for (key,) in keys]
+        else:
+            logits = [0 + get(general, 0.0) + get(full, 0.0) for general, full in keys]
+        peak = max(logits)
+        log_total = peak + math.log(sum([exp(logit - peak) for logit in logits]))
+        for index, logit in enumerate(logits):
+            g = (1.0 if index == chosen else 0.0) - exp(logit - log_total)
             if g == 0.0:
                 continue
-            for level in levels:
-                key = (level, token)
+            for key in keys[index]:
                 grad[key] = grad.get(key, 0.0) + g
     return grad
 
@@ -107,13 +143,15 @@ def pretrain_supervised(
 ) -> PolicyParams:
     """Maximize the log-likelihood of gold episodes, one example at a time.
 
-    An episode is a gold plan's decoding steps; they do not depend on
-    the parameters, so every epoch reuses them and nothing is replayed.
+    An episode is a gold plan's decoding steps. Each is compiled once,
+    before the first epoch, and every epoch reuses its gradient rows, so
+    nothing is replayed and no key is rebuilt.
     """
     current = params.copy()
+    compiled = [compile_episode(steps) for steps in episodes]
     for _ in range(epochs):
-        for steps in episodes:
-            _add_gradient(current, grad_log_prob_steps(current, steps), lr)
+        for episode in compiled:
+            _add_gradient(current, grad_log_prob_episode(current, episode), lr)
     return current
 
 

@@ -13,6 +13,11 @@ gives the policy a warm start; reinforcement then fixes what imitation
 got wrong and adapts to the reward surface. `fit` is that sequence:
 the oracle's gold plans, with the decoding steps its replay check
 already walked, then pretraining on those steps, then reinforcement.
+
+Each episode is compiled into gradient rows once: a gold episode
+before the first pretraining epoch, and a sampled plan's episode the
+first time that plan is sampled for its task. Every later gradient of
+the episode reuses its rows.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from .errors import NoFeasiblePlan
 from .evalkit import ReportTable, evaluate, task_reward
 from .plan_ir import PlanGraph, TaskSpec
 from .policy import (
+    CompiledEpisode,
     PolicyParams,
     TabularPolicy,
     apply_gradient,
-    grad_log_prob_steps,
+    compile_episode,
+    grad_log_prob_episode,
     pretrain_supervised,
 )
 from .registry import ToolRegistry
@@ -86,26 +93,27 @@ class HistoryRow:
 
 def reinforce_step(
     params: PolicyParams,
-    batch: list[tuple[list[ReplayStep], float]],
+    batch: list[tuple[CompiledEpisode, float]],
     baseline: BaselineState,
     lr: float,
     momentum: float = 0.9,
 ) -> tuple[PolicyParams, BaselineState]:
     """One policy-gradient update from a batch of scored rollouts.
 
-    Each rollout is the steps its sampler recorded and its reward. Gradients
-    are taken at the incoming parameters; the baseline that centers the
-    rewards is the one carried in, and the refreshed baseline only
-    affects the next call.
+    Each rollout is its episode, compiled by `compile_episode` from the
+    steps its sampler recorded, and its reward. Gradients are taken at
+    the incoming parameters; the baseline that centers the rewards is
+    the one carried in, and the refreshed baseline only affects the next
+    call.
     """
     if not batch:
         return params, baseline
     accum: dict = {}
-    for steps, reward in batch:
+    for episode, reward in batch:
         advantage = reward - baseline.value
         if advantage == 0.0:
             continue
-        for key, g in grad_log_prob_steps(params, steps).items():
+        for key, g in grad_log_prob_episode(params, episode).items():
             accum[key] = accum.get(key, 0.0) + g * advantage
     updated = apply_gradient(params, accum, lr / len(batch))
     batch_mean = fmean(reward for _, reward in batch)
@@ -121,19 +129,21 @@ def train(
 ) -> tuple[PolicyParams, tuple[HistoryRow, ...]]:
     """Epochs of per-task rollout batches. Returns params and history.
 
-    Rollouts carry the steps their sampler recorded, so no plan is replayed;
-    a reward depends only on plan and task, so each distinct plan runs once.
+    Rollouts carry the steps their sampler recorded, so no plan is replayed.
+    A reward depends only on plan and task, and a plan's steps are its
+    replay, so each distinct plan sampled for a task is executed and
+    compiled once, and its later rollouts reuse both.
     """
     rng = random.Random(cfg.seed)
     epsilon = cfg.epsilon
     baseline = BaselineState()
     current = params.copy()
     history: list[HistoryRow] = []
-    memos: list[dict[PlanGraph, float]] = [{} for _ in tasks]
+    memos: list[dict[PlanGraph, tuple[CompiledEpisode, float]]] = [{} for _ in tasks]
     for epoch in range(cfg.epochs):
         epoch_rewards: list[float] = []
         for task, memo in zip(tasks, memos):
-            batch: list[tuple[list[ReplayStep], float]] = []
+            batch: list[tuple[CompiledEpisode, float]] = []
             # `current` changes only after the batch, so its rollouts share one score memo.
             policy = TabularPolicy(current)
             for _ in range(cfg.rollouts_per_task):
@@ -142,8 +152,9 @@ def train(
                 except NoFeasiblePlan:
                     continue
                 if plan not in memo:
-                    memo[plan] = task_reward(plan, task, registry, constants)
-                batch.append((steps, memo[plan]))
+                    reward = task_reward(plan, task, registry, constants)
+                    memo[plan] = compile_episode(steps), reward
+                batch.append(memo[plan])
             current, baseline = reinforce_step(
                 current, batch, baseline, cfg.lr, cfg.baseline_momentum
             )

@@ -418,7 +418,9 @@ def test_non_finite_output_is_a_one_line_error_and_no_file(ws, tmp_path, capsys,
         argv = [command]
         written = out / "checkpoint.json"
     assert main(["--config", str(config), "--out", str(out), *argv, "--catalog", str(ws["catalog"])]) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.count("\n") == 1
     error = json.loads(err)["error"]
     assert error["type"] == "EngineError"

@@ -12,18 +12,36 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from planforge.benchgen import oracle_best_plan, required_oracle_depth
-from planforge.context import Context, context_levels, context_to_json
-from planforge.decoder import DecoderConfig, beam_search, initial_state, replay_steps
+from planforge.benchgen import (
+    CatalogConfig,
+    build_task,
+    category_space,
+    oracle_best_plan,
+    required_oracle_depth,
+)
+from planforge.context import Context, context_levels, context_to_json, shared
+from planforge.decoder import (
+    DecoderConfig,
+    ReplayStep,
+    apply_action,
+    beam_search,
+    initial_state,
+    replay_steps,
+    step_frontier,
+)
 from planforge.errors import EmptyAllowedSet, EngineError, PeerProtocolError
+from planforge.plan_ir import TaskCategory
 from planforge.policy import (
     GuidedPlanPolicy,
     PolicyParams,
     RemotePolicy,
     TabularPolicy,
     UniformPolicy,
+    _level_log_probs,
     apply_gradient,
+    compile_episode,
     grad_log_prob,
+    grad_log_prob_episode,
     log_prob,
     params_from_json,
     params_to_json,
@@ -31,6 +49,7 @@ from planforge.policy import (
     score_tokens,
     serve_requests,
 )
+from planforge.registry import default_registry
 
 CTX = Context("image_to_image", "Image Denoising", "Image", "fix:Blur")
 
@@ -118,6 +137,73 @@ def test_grad_aggregates_per_step_terms(catalog, registry) -> None:
     assert set(grad) == set(manual)
     for key in grad:
         assert math.isclose(grad[key], manual[key], abs_tol=1e-12)
+
+
+class _RandomTable(dict):
+    """Weights drawn per (context, token) from a seeded stream, as in
+    test_decoder. The values include -0.0, which a one-level logit's sum
+    turns into 0.0, and 1e308, whose two levels sum to inf."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self.seed = seed
+
+    def get(self, key, default=None):
+        ctx, token = key
+        return random.Random(f"{self.seed}|{ctx}|{token}").choice((-1.0, -0.0, 0.0, 0.5, 1e308))
+
+
+def _reference_grad(params, steps) -> dict:
+    """The gradient as it was taken before episodes were compiled: keys,
+    logits and log-probabilities rebuilt from the steps on every call."""
+    grad: dict = {}
+    for step in steps:
+        levels = context_levels(step.context)
+        log_probs = _level_log_probs(params, levels, step.actions)
+        for token in step.actions:
+            g = (1.0 if token == step.chosen else 0.0) - math.exp(log_probs[token])
+            if g == 0.0:
+                continue
+            for level in levels:
+                key = (level, token)
+                grad[key] = grad.get(key, 0.0) + g
+    return grad
+
+
+_REGISTRY = default_registry()
+_SPACES = {category: category_space(category, CatalogConfig()) for category in TaskCategory}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(c, case) for c in TaskCategory for case in _SPACES[c]]),
+    st.integers(min_value=1, max_value=len(_REGISTRY)),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+    st.data(),
+)
+def test_compiled_gradient_equals_the_step_gradient(case, cap, table_seed, one_level, data) -> None:
+    """Training takes every gradient from `compile_episode`'s rows. On any
+    legal walk, complete or dead-ended, and any table, the result equals
+    the per-step computation key for key, in the same key order and by
+    float.hex, so NaN and inf entries agree too.
+
+    The decoder's contexts always have two levels; with `one_level` the
+    walk's contexts are replaced by their shared level, which has one."""
+    category, (chains, builder) = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    state, steps = initial_state(task), []
+    while (frontier := step_frontier(state, task, _REGISTRY, cap)) is not None:
+        token = data.draw(st.sampled_from(frontier.actions))
+        ctx = shared(frontier.context) if one_level else frontier.context
+        steps.append(ReplayStep(ctx, frontier.uncapped, token))
+        state = apply_action(state, frontier, token, _REGISTRY)
+    params = _RandomTable(table_seed)
+    got = grad_log_prob_episode(params, compile_episode(steps))
+    want = _reference_grad(params, steps)
+    assert [(key, value.hex()) for key, value in got.items()] == [
+        (key, value.hex()) for key, value in want.items()
+    ]
 
 
 def test_apply_gradient_scales_and_accumulates() -> None:

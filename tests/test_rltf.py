@@ -20,6 +20,7 @@ from planforge.policy import (
     PolicyParams,
     TabularPolicy,
     apply_gradient,
+    compile_episode,
     grad_log_prob,
     log_prob,
     pretrain_supervised,
@@ -71,7 +72,10 @@ def _bandit(registry):
 def test_reinforce_step_shifts_mass_toward_reward(registry) -> None:
     task, good, bad = _bandit(registry)
     params = PolicyParams()
-    batch = [(replay_steps(good, task, registry), 1.0), (replay_steps(bad, task, registry), 0.64)]
+    batch = [
+        (compile_episode(replay_steps(good, task, registry)), 1.0),
+        (compile_episode(replay_steps(bad, task, registry)), 0.64),
+    ]
     updated, baseline = reinforce_step(params, batch, BaselineState(), 1.0)
     assert baseline.initialized
     assert math.isclose(baseline.value, (1.0 + 0.64) / 2)
@@ -87,7 +91,10 @@ def test_gradients_are_taken_before_the_update(registry) -> None:
     # First batch has zero advantage baseline, so both plans move up;
     # the better one must still end up more likely.
     task, good, bad = _bandit(registry)
-    batch = [(replay_steps(good, task, registry), 1.0), (replay_steps(bad, task, registry), 0.2)]
+    batch = [
+        (compile_episode(replay_steps(good, task, registry)), 1.0),
+        (compile_episode(replay_steps(bad, task, registry)), 0.2),
+    ]
     updated, _ = reinforce_step(PolicyParams(), batch, BaselineState(), 1.0)
     assert log_prob(updated, good, task, registry) > log_prob(updated, bad, task, registry)
 
@@ -95,7 +102,10 @@ def test_gradients_are_taken_before_the_update(registry) -> None:
 def test_zero_learning_rate_changes_nothing(registry) -> None:
     task, good, bad = _bandit(registry)
     params = PolicyParams()
-    batch = [(replay_steps(good, task, registry), 1.0), (replay_steps(bad, task, registry), 0.2)]
+    batch = [
+        (compile_episode(replay_steps(good, task, registry)), 1.0),
+        (compile_episode(replay_steps(bad, task, registry)), 0.2),
+    ]
     updated, _ = reinforce_step(params, batch, BaselineState(), 0.0)
     assert all(v == 0.0 for v in updated.values())
 
@@ -229,9 +239,12 @@ def test_training_executes_each_distinct_episode_once_and_never_replays(
     """Pretraining takes the gold episodes the oracle walked and replays
     none. Rollouts carry the steps the sampler recorded: `train` executes
     each distinct sampled plan once and replays none. Counting
-    `decoder.expected_action` catches a replay made from any module."""
+    `decoder.expected_action` catches a replay made from any module.
+    Each episode's gradient rows are compiled once: per gold episode,
+    whatever the number of epochs, and per distinct sampled plan."""
     tasks, golds = small_split
-    executed, replayed, sampled, expected = [], [], [], []
+    executed, replayed, sampled, expected, compiled = [], [], [], [], []
+    steps_of = {}
 
     def counting(calls, fn):
         def wrapper(plan, task, *args):
@@ -243,20 +256,31 @@ def test_training_executes_each_distinct_episode_once_and_never_replays(
     def recording_sample(policy, task, *args):
         plan, steps = sample_plan(policy, task, *args)
         sampled.append((task.id, plan))
+        steps_of[task.id, plan] = steps
         return plan, steps
 
     def counting_expected(*args):
         expected.append(args)
         return expected_action(*args)
 
+    def counting_compile(steps):
+        compiled.append(tuple(steps))
+        return compile_episode(steps)
+
     monkeypatch.setattr(planforge.policy, "replay_steps", counting(replayed, replay_steps))
     monkeypatch.setattr(planforge.decoder, "expected_action", counting_expected)
+    monkeypatch.setattr(planforge.policy, "compile_episode", counting_compile)
+    monkeypatch.setattr(planforge.rltf, "compile_episode", counting_compile)
     episodes = [steps for _, _, steps in golds]
     assert pretrain_supervised(PolicyParams(), episodes, 0, 0.1) == {}
+    assert compiled == [tuple(steps) for steps in episodes]
+    compiled.clear()
     params = pretrain_supervised(PolicyParams(), episodes, 5, 0.1)
     assert params
     assert replayed == []
     assert expected == []
+    assert compiled == [tuple(steps) for steps in episodes]
+    compiled.clear()
 
     monkeypatch.setattr(
         planforge.evalkit, "sample_scores", counting(executed, planforge.evalkit.sample_scores)
@@ -267,3 +291,4 @@ def test_training_executes_each_distinct_episode_once_and_never_replays(
     assert Counter(executed) == Counter(set(sampled))
     assert replayed == []
     assert expected == []
+    assert Counter(compiled) == Counter(tuple(steps_of[episode]) for episode in set(sampled))
