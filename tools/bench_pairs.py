@@ -7,9 +7,11 @@ Run from the repository root:
 
 Each revision is exported with ``git archive`` into its own temporary
 directory; nothing is fetched. For each workload, each pair runs this
-checkout's ``perfbench/run.py --trace 0`` once in each tree, one run at a
-time, and the side that goes first alternates from pair to pair. The run
-length is BENCHMARK.json's ``run_seconds`` unless ``--seconds`` is given.
+checkout's ``perfbench/run.py --seed 0 --trace 0`` once in each tree, for
+BENCHMARK.json's ``run_seconds``, one run at a time, and the side that
+goes first alternates from pair to pair. At least 10 pairs are run, as
+the gain rule needs: the head wins at least nine of ten pairs, and its
+median beats the base's by more than the base's interquartile range.
 
 The result is written to ``BENCH_<label>.json`` at the repository root:
 the machine facts; per run, ``wall_s``, ``setup_s`` and ``peak_rss_mb``;
@@ -29,7 +31,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -37,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNNER = ROOT / "perfbench" / "run.py"
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # lower is better for each
 SIDES = ("base", "head")
+MIN_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -47,17 +49,15 @@ def git(*args: str) -> str:
 
 def export(rev: str, into: Path) -> None:
     """Write the files of `rev` into the empty directory `into`."""
-    archive = into.with_suffix(".tar")
-    with open(archive, "wb") as out:
-        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=out)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into, filter="data")
-    archive.unlink()
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True, capture_output=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float) -> dict:
     """One perfbench run in `tree`: its end-to-end values and digests."""
-    cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
+    cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", "0",
            "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
@@ -76,12 +76,12 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def measure(trees: dict, workload: str, pairs: int, seed: int, seconds: float) -> dict:
+def measure(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
     runs = {side: [] for side in SIDES}
     for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(trees[side], workload, seed, seconds))
+            runs[side].append(run_once(trees[side], workload, seconds))
             last = runs[side][-1]["values"]
             print(f"{workload} pair {pair + 1}/{pairs} {side}: "
                   + " ".join(f"{m}={last[m]:.4f}" for m in METRICS), flush=True)
@@ -107,7 +107,9 @@ def measure(trees: dict, workload: str, pairs: int, seed: int, seconds: float) -
         report["gain"][m] = {
             "pairs_won": won,
             "median_change_frac": -gap / base["median"],
-            "met": won * 10 >= pairs * 9 and gap > base["q3"] - base["q1"],
+            "met": (
+                pairs >= MIN_PAIRS and won * 10 >= pairs * 9 and gap > base["q3"] - base["q1"]
+            ),
         }
     return report
 
@@ -118,14 +120,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("head")
     parser.add_argument("--label", required=True)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     try:
         revs = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     except subprocess.CalledProcessError as exc:
@@ -142,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             "loadavg_at_start": os.getloadavg(),
         },
         "method": (
-            f"perfbench/run.py --seed {args.seed} --seconds {seconds} --trace 0 in a git archive "
+            f"perfbench/run.py --seed 0 --seconds {seconds} --trace 0 in a git archive "
             "of each revision, one run at a time, the first side alternating per pair; no CPU "
             "pinning, cache drops or machine-wide tracing"
         ),
@@ -150,14 +149,14 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         trees = {}
-        for side in SIDES:
-            trees[side] = Path(scratch) / side
-            trees[side].mkdir()
-            export(revs[side], trees[side])
         try:
+            for side in SIDES:
+                trees[side] = Path(scratch) / side
+                trees[side].mkdir()
+                export(revs[side], trees[side])
             for name in args.workload:
-                doc["workloads"][name] = measure(trees, name, args.pairs, args.seed, seconds)
-        except (RuntimeError, OSError, ValueError, KeyError) as exc:
+                doc["workloads"][name] = measure(trees, name, args.pairs, seconds)
+        except (subprocess.CalledProcessError, RuntimeError, OSError, ValueError, KeyError) as exc:
             print(f"bench_pairs: {exc}; nothing written", file=sys.stderr)
             return 1
     doc["machine"]["loadavg_at_end"] = os.getloadavg()
