@@ -53,7 +53,7 @@ from .policy import (
     pretrain_supervised,
     score_tokens,
 )
-from .registry import ToolRegistry, ToolSpec, compatible_successors, default_registry, register_tool
+from .registry import ToolRegistry, ToolSpec, compatible_successors, default_registry
 from .rltf import TrainConfig, reinforce_step, run_schema_comparison, train
 from .simkit import (
     Corruption,

@@ -32,16 +32,11 @@ class Context(NamedTuple):
     hint: str
 
 
-def shared(ctx: Context) -> Context:
-    return Context(ctx.task_category, SHARED_PREV, ctx.branch_modality, ctx.hint)
-
-
-def context_levels(ctx: Context) -> tuple[Context, ...]:
-    """Backoff levels, general first. Logits are summed across levels."""
-    base = shared(ctx)
-    if base == ctx:
-        return (ctx,)
-    return (base, ctx)
+def context_levels(ctx: Context) -> tuple[Context, Context]:
+    """The two backoff levels, general first: the shared level, with the
+    previous tool wildcarded, then the context itself. Logits sum across
+    them. No tool is named `SHARED_PREV`, so the two levels differ."""
+    return (Context(ctx.task_category, SHARED_PREV, ctx.branch_modality, ctx.hint), ctx)
 
 
 def context_to_json(ctx: Context) -> dict:

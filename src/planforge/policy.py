@@ -6,10 +6,12 @@ shared level with the previous tool wildcarded and the full context;
 the effective logit is their sum, so rare full contexts back off to
 behavior learned across previous tools. Scores returned to the decoder
 are always normalized log-probabilities over the offered action set.
+Decoding, `log_prob` and gradients share one logit sum and one
+normaliser, which adds left to right: `sum` is compensated from 3.12 on.
 
 Every training gradient, supervised or reinforced, is taken from an
 episode compiled once into gradient rows (`compile_episode`): per step,
-each offered token's table keys at every level, and the chosen token.
+each offered token's two table keys, and the chosen token.
 `grad_log_prob` compiles a plan's replay and takes the same gradient.
 """
 
@@ -28,19 +30,28 @@ from .registry import ToolRegistry
 
 PolicyParams = dict[tuple[Context, str], float]
 
-
-def _log_softmax(logits: dict[str, float], order: Sequence[str]) -> dict[str, float]:
-    peak = max(logits[a] for a in order)
-    log_total = peak + math.log(sum(math.exp(logits[a] - peak) for a in order))
-    return {a: logits[a] - log_total for a in order}
+TokenKeys = tuple[tuple[Context, str], tuple[Context, str]]
 
 
-def _level_log_probs(
-    params: PolicyParams, levels: tuple[Context, ...], allowed: Sequence[str]
-) -> dict[str, float]:
-    """score_tokens given the context's backoff levels, summed in order."""
-    logits = {a: sum(params.get((level, a), 0.0) for level in levels) for a in allowed}
-    return _log_softmax(logits, allowed)
+def _token_keys(ctx: Context, tokens: Sequence[str]) -> tuple[TokenKeys, ...]:
+    general, full = context_levels(ctx)
+    return tuple(((general, token), (full, token)) for token in tokens)
+
+
+def _logit_sums(params: PolicyParams, keys: Sequence[TokenKeys]) -> list[float]:
+    """Each token's two levels, summed from int 0: a -0.0 general level reads 0.0."""
+    get = params.get
+    return [0 + get(general, 0.0) + get(full, 0.0) for general, full in keys]
+
+
+def _log_normaliser(logits: Sequence[float]) -> float:
+    """log(sum(exp(logits))) from the peak, added left to right in any Python."""
+    peak = max(logits)
+    exp = math.exp
+    total = 0.0
+    for logit in logits:
+        total += exp(logit - peak)
+    return peak + math.log(total)
 
 
 def score_tokens(
@@ -49,7 +60,9 @@ def score_tokens(
     """Normalized log-probabilities over the allowed tokens."""
     if not allowed:
         raise EmptyAllowedSet("no tokens to score")
-    return _level_log_probs(params, context_levels(ctx), allowed)
+    logits = _logit_sums(params, _token_keys(ctx, allowed))
+    log_total = _log_normaliser(logits)
+    return {a: logit - log_total for a, logit in zip(allowed, logits)}
 
 
 def log_prob(
@@ -71,10 +84,10 @@ def grad_log_prob(
 
 class GradientRow(NamedTuple):
     """One decoding step, compiled for the gradient: per offered token, in
-    the step's action order, its table key at each backoff level; and the
+    the step's action order, its two table keys (`_token_keys`); and the
     index of the chosen token."""
 
-    keys: tuple[tuple[tuple[Context, str], ...], ...]
+    keys: tuple[TokenKeys, ...]
     chosen: int
 
 
@@ -84,12 +97,10 @@ CompiledEpisode = tuple[GradientRow, ...]
 def compile_episode(steps: Sequence[ReplayStep]) -> CompiledEpisode:
     """An episode's gradient rows. They depend only on the steps, not on the
     parameters, so training compiles each episode once and reuses it."""
-    rows = []
-    for step in steps:
-        levels = context_levels(step.context)
-        keys = tuple(tuple((level, token) for level in levels) for token in step.actions)
-        rows.append(GradientRow(keys, step.actions.index(step.chosen)))
-    return tuple(rows)
+    return tuple(
+        GradientRow(_token_keys(step.context, step.actions), step.actions.index(step.chosen))
+        for step in steps
+    )
 
 
 def grad_log_prob_episode(
@@ -97,25 +108,15 @@ def grad_log_prob_episode(
 ) -> dict[tuple[Context, str], float]:
     """Gradient of the log-probability of a compiled episode.
 
-    Per step and token the softmax gradient is (chosen - p); it lands on
-    each backoff level of the step context, so both levels of the sum
-    contribute and the per-level gradient sums to zero across tokens.
-    The float operations are those of `_level_log_probs`, in its order:
-    a logit is `sum` over the levels, which starts from int 0, so a lone
-    -0.0 level reads 0.0.
+    Per step and token the softmax gradient is (chosen - p), from
+    `score_tokens`' logits and normaliser; it lands on both levels of the
+    step context, so the per-level gradient sums to zero across tokens.
     """
-    get = params.get
     exp = math.exp
     grad: dict[tuple[Context, str], float] = {}
     for keys, chosen in episode:
-        # Unrolled: a per-token `sum([get(key, 0.0) for key in token_keys])`
-        # makes this function about a quarter slower.
-        if len(keys[0]) == 1:
-            logits = [0 + get(key, 0.0) for (key,) in keys]
-        else:
-            logits = [0 + get(general, 0.0) + get(full, 0.0) for general, full in keys]
-        peak = max(logits)
-        log_total = peak + math.log(sum([exp(logit - peak) for logit in logits]))
+        logits = _logit_sums(params, keys)
+        log_total = _log_normaliser(logits)
         for index, logit in enumerate(logits):
             g = (1.0 if index == chosen else 0.0) - exp(logit - log_total)
             if g == 0.0:
@@ -247,8 +248,9 @@ class GuidedPlanPolicy:
         if not actions:
             raise EmptyAllowedSet("no tokens to score")
         token = expected_action(self.registry, state, self.plan)
-        logits = {a: _GUIDE_LOGIT if a == token else 0.0 for a in actions}
-        return _log_softmax(logits, actions)
+        logits = [_GUIDE_LOGIT if a == token else 0.0 for a in actions]
+        log_total = _log_normaliser(logits)
+        return {a: logit - log_total for a, logit in zip(actions, logits)}
 
 
 class RemotePolicy:
@@ -277,8 +279,9 @@ class RemotePolicy:
         if not line:
             raise ConnectionError("policy peer closed the stream")
         scores = _reply_scores(line)
-        logits = {a: scores.get(a, 0.0) for a in actions}
-        return _log_softmax(logits, actions)
+        logits = [scores.get(a, 0.0) for a in actions]
+        log_total = _log_normaliser(logits)
+        return {a: logit - log_total for a, logit in zip(actions, logits)}
 
 
 def _json_object(line: bytes, what: str) -> dict:

@@ -1,14 +1,15 @@
 """Tool registry.
 
 Tools pair a display name with a typed signature and a semantic id from
-the simulator. The registry is ordered and immutable; registration is
-functional and returns a new registry.
+the simulator. The registry is ordered and immutable; no tool may take a
+decoder token's name (`<bos>`, `<end>` or the shared context level's `*`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .context import BOS, END_TOKEN, SHARED_PREV
 from .errors import BadArity, DuplicateName, SemanticMismatch, UnknownTool, reading
 from .simkit import SEMANTIC_SIGNATURES, Modality, SemanticId
 
@@ -23,6 +24,8 @@ class ToolSpec:
     def __post_init__(self) -> None:
         if not self.name or not self.name.strip():
             raise ValueError("tool name must be non-empty")
+        if self.name in (BOS, END_TOKEN, SHARED_PREV):
+            raise ValueError(f"{self.name}: a decoder token, not a tool name")
         if len(self.inputs) not in (1, 2):
             raise BadArity(f"{self.name}: tools take 1 or 2 inputs, got {len(self.inputs)}")
         want_inputs, want_output = SEMANTIC_SIGNATURES[self.semantic]
@@ -83,10 +86,6 @@ class ToolRegistry:
     def joins_into(self, modality: Modality) -> tuple[str, ...]:
         """Names of the two-input tools whose second slot takes the modality."""
         return self._second_slot[modality]
-
-
-def register_tool(registry: ToolRegistry, spec: ToolSpec) -> ToolRegistry:
-    return ToolRegistry(registry.tools + (spec,))
 
 
 _I = Modality.IMAGE

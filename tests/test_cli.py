@@ -332,6 +332,9 @@ MALFORMED_DOCUMENTS = [
     ("eval", "--catalog", "catalog", "x"),
     ("eval", "--catalog", "catalog", 1),
     ("eval", "--catalog", "catalog", None),
+    ("parse", "registry", "registry", [{"name": "<bos>", "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
+    ("parse", "registry", "registry", [{"name": "<end>", "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
+    ("parse", "registry", "registry", [{"name": "*", "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
 ]
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from planforge.context import (
     Context,
     SHARED_PREV,
@@ -10,19 +12,22 @@ from planforge.context import (
     hint_token,
     initial_hint_state,
     merge_hint_states,
-    shared,
 )
+from planforge.errors import MalformedDocument
+from planforge.registry import registry_from_json
 from planforge.simkit import Corruption, SemanticId
 
 
 def test_context_levels_general_first() -> None:
     ctx = Context("image_to_image", "Image Denoising", "Image", "fix:Blur")
     levels = context_levels(ctx)
-    assert levels == (shared(ctx), ctx)
-    assert levels[0].prev_tool == SHARED_PREV
+    assert levels == (Context("image_to_image", SHARED_PREV, "Image", "fix:Blur"), ctx)
 
-    already_shared = Context("image_to_image", SHARED_PREV, "Image", "end")
-    assert context_levels(already_shared) == (already_shared,)
+    # A context's two levels are always distinct: no tool can be named like
+    # the shared level's previous tool.
+    star = {"name": SHARED_PREV, "inputs": ["Image"], "output": "Image", "semantic": "RemoveBlur"}
+    with pytest.raises(MalformedDocument):
+        registry_from_json([star])
 
 
 def test_context_json_round_trip() -> None:

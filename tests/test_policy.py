@@ -19,7 +19,7 @@ from planforge.benchgen import (
     oracle_best_plan,
     required_oracle_depth,
 )
-from planforge.context import Context, context_levels, context_to_json, shared
+from planforge.context import Context, context_levels, context_to_json
 from planforge.decoder import (
     DecoderConfig,
     ReplayStep,
@@ -37,7 +37,6 @@ from planforge.policy import (
     RemotePolicy,
     TabularPolicy,
     UniformPolicy,
-    _level_log_probs,
     apply_gradient,
     compile_episode,
     grad_log_prob,
@@ -141,8 +140,9 @@ def test_grad_aggregates_per_step_terms(catalog, registry) -> None:
 
 class _RandomTable(dict):
     """Weights drawn per (context, token) from a seeded stream, as in
-    test_decoder. The values include -0.0, which a one-level logit's sum
-    turns into 0.0, and 1e308, whose two levels sum to inf."""
+    test_decoder. The values include -0.0, which a logit's sum from int 0
+    turns into 0.0 when it is the general level, and 1e308, whose two
+    levels sum to inf."""
 
     def __init__(self, seed: int) -> None:
         super().__init__()
@@ -153,13 +153,31 @@ class _RandomTable(dict):
         return random.Random(f"{self.seed}|{ctx}|{token}").choice((-1.0, -0.0, 0.0, 0.5, 1e308))
 
 
+def _plain_sum(values):
+    """The built-in `sum` as it adds floats before Python 3.12: from int 0,
+    left to right, uncompensated."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+def _reference_log_probs(params, levels, allowed) -> dict:
+    """score_tokens as it was first written: a dict of per-token logits,
+    each summed over the context's levels, then a log-softmax over them."""
+    logits = {a: _plain_sum(params.get((level, a), 0.0) for level in levels) for a in allowed}
+    peak = max(logits[a] for a in allowed)
+    log_total = peak + math.log(_plain_sum(math.exp(logits[a] - peak) for a in allowed))
+    return {a: logits[a] - log_total for a in allowed}
+
+
 def _reference_grad(params, steps) -> dict:
     """The gradient as it was taken before episodes were compiled: keys,
     logits and log-probabilities rebuilt from the steps on every call."""
     grad: dict = {}
     for step in steps:
         levels = context_levels(step.context)
-        log_probs = _level_log_probs(params, levels, step.actions)
+        log_probs = _reference_log_probs(params, levels, step.actions)
         for token in step.actions:
             g = (1.0 if token == step.chosen else 0.0) - math.exp(log_probs[token])
             if g == 0.0:
@@ -168,6 +186,10 @@ def _reference_grad(params, steps) -> dict:
                 key = (level, token)
                 grad[key] = grad.get(key, 0.0) + g
     return grad
+
+
+def _hexes(values: dict) -> list:
+    return [(key, value.hex()) for key, value in values.items()]
 
 
 _REGISTRY = default_registry()
@@ -179,31 +201,31 @@ _SPACES = {category: category_space(category, CatalogConfig()) for category in T
     st.sampled_from([(c, case) for c in TaskCategory for case in _SPACES[c]]),
     st.integers(min_value=1, max_value=len(_REGISTRY)),
     st.integers(min_value=0, max_value=2**16),
-    st.booleans(),
     st.data(),
 )
-def test_compiled_gradient_equals_the_step_gradient(case, cap, table_seed, one_level, data) -> None:
-    """Training takes every gradient from `compile_episode`'s rows. On any
-    legal walk, complete or dead-ended, and any table, the result equals
-    the per-step computation key for key, in the same key order and by
-    float.hex, so NaN and inf entries agree too.
-
-    The decoder's contexts always have two levels; with `one_level` the
-    walk's contexts are replaced by their shared level, which has one."""
+def test_compiled_gradient_equals_the_step_gradient(case, cap, table_seed, data) -> None:
+    """Decoding and training share one logit sum and one normaliser. On any
+    legal walk, complete or dead-ended, and any table, `score_tokens`
+    equals the reference at every step, over the capped actions that
+    decoding scores and the uncapped ones a replay scores; the gradient from
+    `compile_episode`'s rows equals the per-step computation key for key,
+    in the same key order. Both compare by float.hex, so NaN and inf
+    entries agree too, and on every Python version."""
     category, (chains, builder) = case
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
     state, steps = initial_state(task), []
+    params = _RandomTable(table_seed)
     while (frontier := step_frontier(state, task, _REGISTRY, cap)) is not None:
         token = data.draw(st.sampled_from(frontier.actions))
-        ctx = shared(frontier.context) if one_level else frontier.context
-        steps.append(ReplayStep(ctx, frontier.uncapped, token))
+        steps.append(ReplayStep(frontier.context, frontier.uncapped, token))
+        levels = context_levels(frontier.context)
+        for actions in (frontier.actions, frontier.uncapped):
+            assert _hexes(score_tokens(params, frontier.context, actions)) == _hexes(
+                _reference_log_probs(params, levels, actions)
+            )
         state = apply_action(state, frontier, token, _REGISTRY)
-    params = _RandomTable(table_seed)
     got = grad_log_prob_episode(params, compile_episode(steps))
-    want = _reference_grad(params, steps)
-    assert [(key, value.hex()) for key, value in got.items()] == [
-        (key, value.hex()) for key, value in want.items()
-    ]
+    assert _hexes(got) == _hexes(_reference_grad(params, steps))
 
 
 def test_apply_gradient_scales_and_accumulates() -> None:

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from planforge.benchgen import build_task
-from planforge.context import END_TOKEN
+from planforge.context import BOS, END_TOKEN, SHARED_PREV
 from planforge.decoder import initial_state, step_frontier
 from planforge.errors import BadArity, DuplicateName, SemanticMismatch
 from planforge.plan_ir import TaskCategory
@@ -14,7 +14,6 @@ from planforge.registry import (
     ToolSpec,
     compatible_successors,
     default_registry,
-    register_tool,
     registry_from_json,
 )
 from planforge.simkit import SEMANTIC_SIGNATURES, Modality, SemanticId
@@ -74,10 +73,10 @@ def test_successor_invariants(used: set[str]) -> None:
 
 def test_register_tool_rejects_duplicates() -> None:
     spec = ToolSpec("Image Deblurring II", (Modality.IMAGE,), Modality.IMAGE, SemanticId.REMOVE_BLUR)
-    bigger = register_tool(REG, spec)
+    bigger = ToolRegistry(REG.tools + (spec,))
     assert len(bigger) == 15
     with pytest.raises(DuplicateName):
-        register_tool(bigger, spec)
+        ToolRegistry(bigger.tools + (spec,))
 
 
 def test_tool_spec_validates_against_semantic() -> None:
@@ -89,6 +88,9 @@ def test_tool_spec_validates_against_semantic() -> None:
         ToolSpec("Broken Caption", (Modality.TEXT,), Modality.TEXT, SemanticId.CAPTION)
     with pytest.raises(SemanticMismatch):
         ToolSpec("Wrong Output", (Modality.TEXT,), Modality.TEXT, SemanticId.GENERATE)
+    for token in (BOS, END_TOKEN, SHARED_PREV):
+        with pytest.raises(ValueError, match="decoder token"):
+            ToolSpec(token, (Modality.TEXT,), Modality.TEXT, SemanticId.REMOVE_MASK)
 
 
 def test_registry_json_round_trip() -> None:
@@ -115,11 +117,9 @@ _SPECS = [
 
 @st.composite
 def _registries_and_used(draw):
-    """A register_tool chain over a random pick of specs, and a random used set."""
+    """A registry of a random pick of specs, and a random used set."""
     specs = draw(st.lists(st.sampled_from(_SPECS), unique=True, max_size=len(_SPECS)))
-    registry = ToolRegistry()
-    for spec in specs:
-        registry = register_tool(registry, spec)
+    registry = ToolRegistry(tuple(specs))
     names = sorted(registry.names()) + ["Not Registered"]
     used = draw(st.frozensets(st.sampled_from(names)))
     return registry, used
