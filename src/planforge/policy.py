@@ -7,7 +7,8 @@ the effective logit is their sum, so rare full contexts back off to
 behavior learned across previous tools. Scores returned to the decoder
 are always normalized log-probabilities over the offered action set.
 Decoding, `log_prob` and gradients share one logit sum and one
-normaliser, which adds left to right: `sum` is compensated from 3.12 on.
+normaliser. The normaliser adds left to right, because the built-in
+`sum` of floats is compensated from Python 3.12 on.
 
 Every training gradient, supervised or reinforced, is taken from an
 episode compiled once into gradient rows (`compile_episode`): per step,
