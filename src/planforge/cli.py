@@ -169,12 +169,9 @@ def _cmd_plan(args, cfg: EngineConfig) -> int:
     policy = _load_policy(args)
     plans, lines = {}, []
     for task in tasks:
-        ranked = beam_search(policy, task, registry, cfg.decoder)
-        plans[task.id] = {
-            "plan": plan_to_json(ranked[0].plan),
-            "log_prob": ranked[0].log_prob,
-        }
-        tools = " -> ".join(node.tool for node in ranked[0].plan.nodes)
+        top = next(beam_search(policy, task, registry, cfg.decoder))
+        plans[task.id] = {"plan": plan_to_json(top.plan), "log_prob": top.log_prob}
+        tools = " -> ".join(node.tool for node in top.plan.nodes)
         lines.append(f"{task.id}: {tools}\n")
     # Printed only once plans.json is written, so a failing write prints no plan.
     _write_json(out / "plans.json", {"manifest": _manifest(cfg, "plan", None), "plans": plans})

@@ -17,10 +17,11 @@ decoding episode. Those steps give plans a log-probability under a policy.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol, Sequence
+from typing import Iterator, NamedTuple, Protocol, Sequence
 
 from .context import (
     BOS,
@@ -123,7 +124,14 @@ class DecodedPlan:
 
 
 class Policy(Protocol):
-    """Normalized log-probabilities over a step's actions, given the state it extends."""
+    """Normalized log-probabilities over a step's actions, given the state it extends.
+
+    Each score is <= 0 and never NaN: `beam_search` hands plans out early
+    on that bound. The package's policies score -log(n) (uniform) or
+    normalise their logits with `policy._log_normaliser`, which refuses a
+    non-finite logit; a score is then finite unless two logits lie so far
+    apart that it rounds to -inf.
+    """
 
     def score_step(
         self, ctx: Context, actions: Sequence[str], state: BeamState
@@ -303,9 +311,14 @@ def beam_search(
     task: TaskSpec,
     registry: ToolRegistry,
     cfg: DecoderConfig,
-) -> list[DecodedPlan]:
-    """Rank complete plans by episode log-probability; the one decode
-    entry point. Tasks must have one or two inputs.
+) -> Iterator[DecodedPlan]:
+    """Complete plans, best first by ``(-log_prob, plan_hash)``; the one
+    decode entry point. Tasks must have one or two inputs.
+
+    Plans come lazily: ``next(beam_search(...))`` is the top plan, and
+    ``list(beam_search(...))`` the whole ranking. The walk runs only as
+    far as the plans taken need. Raises NoFeasiblePlan, on the first
+    ``next``, when the walk ends with no plan.
 
     Live states at a step have distinct paths of equal length, so
     ``(-log_prob, path)`` orders their children totally, and a child's
@@ -315,6 +328,13 @@ def beam_search(
     its plan at once, with no child state, since finished plans are
     never pruned.
 
+    A finished plan waits on a heap until its rank is certain. Every
+    step score is <= 0 (see `Policy`), and a float plus a non-positive
+    number never rounds upward, so no plan finished later can have a
+    log-prob above the best survivor's. After each step's cut, every
+    waiting plan whose log-prob is strictly above the best survivor's is
+    handed out. Ties wait: a later plan could tie and have a smaller hash.
+
     Finished plans are well-formed by construction, and distinct paths
     give distinct plans (each node's id and first input fix the token
     that emitted it), so they are neither validated nor de-duplicated.
@@ -323,7 +343,8 @@ def beam_search(
     if arity not in (1, 2):
         raise ValueError(f"tasks with {arity} inputs are not supported")
     live = [initial_state(task)]
-    finished: list[tuple[str, DecodedPlan]] = []
+    waiting: list[tuple[float, str, DecodedPlan]] = []
+    found = False
 
     for _ in range(_step_cap(task, registry)):
         if not live:
@@ -340,22 +361,30 @@ def beam_search(
                     # `to_plan` of the completed child: the acting branch
                     # is the one unconsumed branch left.
                     plan = PlanGraph(state.nodes, state.branches[frontier.branch_index].head)
-                    finished.append((plan_hash(plan), DecodedPlan(plan, state.log_prob + delta)))
+                    log_prob = state.log_prob + delta
+                    heapq.heappush(waiting, (-log_prob, plan_hash(plan), DecodedPlan(plan, log_prob)))
+                    found = True
                 else:
                     # Parent paths have equal length, so (path, token)
                     # sorts like the child's path + (token,).
                     key = -(state.log_prob + delta)
                     candidates.append((key, state.path, token, state, frontier, delta))
         candidates.sort()
+        del candidates[cfg.beam_size :]
+        if candidates:
+            # Read before the survivors are built: a plan taken here may end the walk.
+            best = candidates[0][0]
+            while waiting and waiting[0][0] < best:
+                yield heapq.heappop(waiting)[2]
         live = [
             apply_action(state, frontier, token, registry, lp_delta=delta)
-            for _, _, token, state, frontier, delta in candidates[: cfg.beam_size]
+            for _, _, token, state, frontier, delta in candidates
         ]
 
-    if not finished:
+    if not found:
         raise NoFeasiblePlan(f"beam found no valid plan for {task.id}")
-    finished.sort(key=lambda item: (-item[1].log_prob, item[0]))
-    return [dp for _, dp in finished]
+    while waiting:
+        yield heapq.heappop(waiting)[2]
 
 
 def _filtered_distribution(

@@ -72,8 +72,8 @@ def evaluate(
     by_slot: dict[MetricSlot, list[float]] = {slot: [] for slot in MetricSlot}
     for task in tasks:
         try:
-            ranked = beam_search(policy, task, registry, cfg)
-            reward = task_reward(ranked[0].plan, task, registry, constants)
+            top = next(beam_search(policy, task, registry, cfg))
+            reward = task_reward(top.plan, task, registry, constants)
         except NoFeasiblePlan:
             reward = 0.0
             failures.append(task.id)

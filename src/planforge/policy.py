@@ -22,9 +22,9 @@ import json
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .context import Context, context_from_json, context_levels, context_to_json
+from .context import SHARED_PREV, Context, context_from_json, context_levels, context_to_json
 from .decoder import BeamState, ReplayStep, expected_action, replay_steps
-from .errors import EmptyAllowedSet, PeerProtocolError, reading
+from .errors import EmptyAllowedSet, EngineError, PeerProtocolError, reading
 from .plan_ir import PlanGraph, TaskSpec
 from .registry import ToolRegistry
 
@@ -46,7 +46,13 @@ def _logit_sums(params: PolicyParams, keys: Sequence[TokenKeys]) -> list[float]:
 
 
 def _log_normaliser(logits: Sequence[float]) -> float:
-    """log(sum(exp(logits))) from the peak, added left to right in any Python."""
+    """log(sum(exp(logits))) from the peak, added left to right in any Python.
+
+    A non-finite logit, from a table whose weights overflow, would make
+    the scores NaN, which rank nothing, so it is refused."""
+    if not all(map(math.isfinite, logits)):
+        bad = next(logit for logit in logits if not math.isfinite(logit))
+        raise EngineError(f"policy logit {bad!r} is not finite: the table's weights overflow")
     peak = max(logits)
     exp = math.exp
     total = 0.0
@@ -322,6 +328,9 @@ def _request(line: bytes) -> tuple[Context, list[str]]:
         raise PeerProtocolError(
             f"request context must hold string fields {', '.join(Context._fields)}"
         ) from None
+    if ctx.prev_tool == SHARED_PREV:
+        # No decoder step has it, and its table entries would count twice.
+        raise PeerProtocolError(f"request prev_tool {SHARED_PREV!r} names no tool")
     if not isinstance(allowed, list) or not all(isinstance(a, str) for a in allowed):
         raise PeerProtocolError("request allowed must be a list of strings")
     return ctx, allowed
@@ -332,8 +341,9 @@ def serve_requests(
 ) -> int:
     """Answer RemotePolicy requests until the stream ends. Returns count served.
 
-    A malformed request line is answered with {"error": "..."} and counts
-    as served; the loop keeps reading.
+    A malformed request line, or one whose context names the shared
+    level's `*` as its previous tool, is answered with {"error": "..."}
+    and counts as served; the loop keeps reading.
     """
     served = 0
     while line := transport.readline():

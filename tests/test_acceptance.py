@@ -202,7 +202,7 @@ def test_criterion_3_oracle_equivalence(catalog, registry) -> None:
     mismatches = []
     for task in subset:
         oracle = oracle_best_plan(task, registry, required_oracle_depth(task))
-        top = beam_search(GuidedPlanPolicy(oracle.best_plan, registry), task, registry, cfg)[0]
+        top = next(beam_search(GuidedPlanPolicy(oracle.best_plan, registry), task, registry, cfg))
         reward = task_reward(top.plan, task, registry)
         if reward != oracle.best_reward:
             mismatches.append((task.id, reward, oracle.best_reward))
@@ -265,7 +265,7 @@ def _ten_plans(catalog, registry):
     doubles = [t for t in catalog if len(t.input_signature) == 2][:3]
     plans = []
     for i, task in enumerate(singles + doubles):
-        plan = beam_search(_SeededPolicy(i), task, registry, DecoderConfig(beam_size=4))[0].plan
+        plan = next(beam_search(_SeededPolicy(i), task, registry, DecoderConfig(beam_size=4))).plan
         plans.append((task, plan))
     return plans
 
@@ -415,7 +415,7 @@ def test_criterion_11_executor_determinism(catalog, registry) -> None:
     doubles = [t for t in catalog if len(t.input_signature) == 2][:20]
     diffs = 0
     for task in doubles:
-        plan = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0].plan
+        plan = next(beam_search(UniformPolicy(), task, registry, DecoderConfig())).plan
         assert is_nonlinear(plan)
         baseline = [
             (payload_to_json(execute(plan, s.inputs, registry).final), similarity(execute(plan, s.inputs, registry).final, s.reference))

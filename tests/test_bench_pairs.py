@@ -17,7 +17,8 @@ TREES = {"base": Path("base"), "head": Path("head")}
 
 def _stub_runs(monkeypatch, digests=None) -> None:
     """Each run's values are fixed per side: the head is 10 % faster with
-    a spread narrower than the gap, so every pair is a clear win."""
+    a spread narrower than the gap, so every pair is a clear win. The
+    host-speed probe reads a constant."""
     count = {"base": 0, "head": 0}
 
     def run_once(tree, workload, seconds):
@@ -29,6 +30,7 @@ def _stub_runs(monkeypatch, digests=None) -> None:
         return {"values": values, "digests": (digests or {}).get(side, {"out": "abc"})}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "probe", lambda: 0.1)
 
 
 def test_ten_won_pairs_meet_the_gain_rule(monkeypatch) -> None:
@@ -57,3 +59,17 @@ def test_differing_digests_are_refused(monkeypatch) -> None:
     _stub_runs(monkeypatch, digests={"base": {"out": "abc"}, "head": {"out": "abd"}})
     with pytest.raises(RuntimeError, match="digests differ"):
         bench_pairs.measure(TREES, "w", 10, 30)
+
+
+def test_each_run_records_the_probe_time_before_it(monkeypatch) -> None:
+    """The probe runs once before every run and its time is stored with that
+    run; it is not a metric, so the gain rule never reads it."""
+    _stub_runs(monkeypatch)
+    probes = iter(float(i) for i in range(1, 21))
+    monkeypatch.setattr(bench_pairs, "probe", lambda: next(probes))
+    report = bench_pairs.measure(TREES, "w", 10, 30)
+    # Pairs alternate the side that goes first: base, head, head, base, ...
+    assert [run["probe_s"] for run in report["runs"]["base"]][:2] == [1.0, 4.0]
+    assert [run["probe_s"] for run in report["runs"]["head"]][:2] == [2.0, 3.0]
+    assert all(set(run) == {"probe_s", *bench_pairs.METRICS} for run in report["runs"]["head"])
+    assert "probe_s" not in report["gain"] and report["gain"]["wall_s"]["met"] is True

@@ -402,24 +402,37 @@ def _overflowing_checkpoint(catalog_path: Path, task_id: str) -> dict:
     return {"version": 1, "params": params}
 
 
-@pytest.mark.parametrize("command", ["plan", "train", "compare"])
+def _saturated_checkpoint(ws) -> dict:
+    """The trained checkpoint with every value set to 1e308: wherever a
+    context has both levels, its logit sums to inf."""
+    doc = json.loads((ws["out"] / "checkpoint.json").read_text())
+    return {**doc, "params": [{**entry, "value": 1e308} for entry in doc["params"]]}
+
+
+@pytest.mark.parametrize(
+    "command", ["plan", "train", "compare", "eval-saturated", "plan-saturated"]
+)
 def test_non_finite_output_is_a_one_line_error_and_no_file(ws, tmp_path, capsys, command) -> None:
-    """Finite inputs can overflow: a checkpoint that sums to inf makes
-    plan's log_prob NaN, and train.lr 1e308 over four epochs makes the
-    trained weights NaN and infinite, in train and in compare. Strict JSON
-    has neither, so nothing is written."""
+    """Finite inputs can overflow: a checkpoint whose two levels sum to inf
+    gives an infinite logit, and train.lr 1e308 over four epochs makes the
+    trained weights infinite, in train and in compare. Scores under an
+    infinite logit are NaN and rank nothing, so the policy refuses the
+    logit where it arises: in `plan` and `eval` while decoding, in `train`
+    and `compare` while taking a gradient. Nothing is written or printed."""
     out = tmp_path / "x"
     config = tmp_path / "config.json"
+    checkpoint = tmp_path / "checkpoint.json"
     if command == "plan":
         config.write_text(json.dumps(TINY_CONFIG))
-        checkpoint = tmp_path / "checkpoint.json"
         checkpoint.write_text(json.dumps(_overflowing_checkpoint(ws["catalog"], "ii-000")))
         argv = ["plan", "--task", "ii-000", "--checkpoint", str(checkpoint)]
-        written = out / "plans.json"
+    elif command.endswith("-saturated"):
+        config.write_text(json.dumps(TINY_CONFIG))
+        checkpoint.write_text(json.dumps(_saturated_checkpoint(ws)))
+        argv = [command.split("-")[0], "--split", "test", "--checkpoint", str(checkpoint)]
     else:
         config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "epochs": 4, "lr": 1e308}}))
         argv = [command]
-        written = out / "checkpoint.json"
     assert main(["--config", str(config), "--out", str(out), *argv, "--catalog", str(ws["catalog"])]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -427,7 +440,7 @@ def test_non_finite_output_is_a_one_line_error_and_no_file(ws, tmp_path, capsys,
     assert err.count("\n") == 1
     error = json.loads(err)["error"]
     assert error["type"] == "EngineError"
-    assert error["message"].startswith(f"cannot write {written}: ")
+    assert error["message"].startswith("policy logit inf is not finite")
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import planforge.decoder as decoder_module
 from planforge.benchgen import (
     CatalogConfig,
     build_task,
@@ -31,7 +32,7 @@ from planforge.decoder import (
     step_frontier,
     to_plan,
 )
-from planforge.errors import InvalidPlan, NoFeasiblePlan
+from planforge.errors import EngineError, InvalidPlan, NoFeasiblePlan
 from planforge.plan_ir import (
     TaskCategory,
     TaskInput,
@@ -117,7 +118,7 @@ def test_decoder_states_refuse_field_assignment() -> None:
 def test_uniform_beam_enumerates_every_ordering() -> None:
     """30 beams cover the whole 3-tool space: 15 plans, all validated."""
     task = _mini_task()
-    results = beam_search(UniformPolicy(), task, MINI, DecoderConfig(beam_size=30))
+    results = list(beam_search(UniformPolicy(), task, MINI, DecoderConfig(beam_size=30)))
     sequences = {tuple(n.tool for n in dp.plan.nodes) for dp in results}
     assert len(results) == 15
     names = ("Colorization", "Image Deblurring", "Image Denoising")
@@ -133,7 +134,7 @@ def test_uniform_beam_enumerates_every_ordering() -> None:
 
 def test_uniform_beam_log_probs_are_exact() -> None:
     task = _mini_task()
-    results = beam_search(UniformPolicy(), task, MINI, DecoderConfig(beam_size=30))
+    results = list(beam_search(UniformPolicy(), task, MINI, DecoderConfig(beam_size=30)))
     # One tool: 1/3 for the tool, then 1/3 against two tools plus end.
     # Two tools: extra 1/3, then end against one leftover tool.
     # Three tools: the final end is forced, so same mass as two tools.
@@ -152,8 +153,10 @@ def test_greedy_beam_is_deterministic() -> None:
 
 def test_max_tools_per_branch_caps_plan_length() -> None:
     task = _mini_task()
-    results = beam_search(
-        UniformPolicy(), task, MINI, DecoderConfig(beam_size=30, max_tools_per_branch=2)
+    results = list(
+        beam_search(
+            UniformPolicy(), task, MINI, DecoderConfig(beam_size=30, max_tools_per_branch=2)
+        )
     )
     assert {len(dp.plan.nodes) for dp in results} == {1, 2}
 
@@ -206,15 +209,15 @@ def test_guided_beam_recovers_nonlinear_gold(catalog, registry) -> None:
         task, registry, required_oracle_depth(task), replayable_only=True
     ).best_plan
     assert is_nonlinear(gold)
-    top = beam_search(GuidedPlanPolicy(gold, registry), task, registry, DecoderConfig())[0]
+    top = next(beam_search(GuidedPlanPolicy(gold, registry), task, registry, DecoderConfig()))
     assert plan_hash(top.plan) == plan_hash(gold)
 
 
 def test_decode_dispatches_on_input_count(catalog, registry) -> None:
     single = next(t for t in catalog if len(t.input_signature) == 1)
     double = next(t for t in catalog if len(t.input_signature) == 2)
-    assert beam_search(UniformPolicy(), single, registry, DecoderConfig())
-    assert beam_search(UniformPolicy(), double, registry, DecoderConfig())
+    assert list(beam_search(UniformPolicy(), single, registry, DecoderConfig()))
+    assert list(beam_search(UniformPolicy(), double, registry, DecoderConfig()))
     triple = TaskSpec(
         id="bad",
         description="three inputs",
@@ -227,12 +230,12 @@ def test_decode_dispatches_on_input_count(catalog, registry) -> None:
         dataset=(),
     )
     with pytest.raises(ValueError):
-        beam_search(UniformPolicy(), triple, registry, DecoderConfig())
+        next(beam_search(UniformPolicy(), triple, registry, DecoderConfig()))
 
 
 def test_replay_reproduces_decoded_plan(catalog, registry) -> None:
     for task in list(catalog)[:3] + [next(t for t in catalog if len(t.input_signature) == 2)]:
-        top = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0]
+        top = next(beam_search(UniformPolicy(), task, registry, DecoderConfig()))
         steps = replay_steps(top.plan, task, registry)
         state = initial_state(task)
         for step in steps:
@@ -280,7 +283,7 @@ def test_infeasible_task_raises() -> None:
         "ti-x", TaskCategory.TEXT_TO_IMAGE, ((),), (SemanticId.GENERATE,), samples_per_task=1
     )
     with pytest.raises(NoFeasiblePlan):
-        beam_search(UniformPolicy(), task, lonely, DecoderConfig())
+        next(beam_search(UniformPolicy(), task, lonely, DecoderConfig()))
 
 
 def _reference_beam(policy, task, registry, cfg) -> list[tuple[str, float]]:
@@ -368,10 +371,98 @@ def test_beam_search_matches_reference_beam(case) -> None:
     expected = _reference_beam(policy, task, _REGISTRY, cfg)
     if not expected:
         with pytest.raises(NoFeasiblePlan):
-            beam_search(policy, task, _REGISTRY, cfg)
+            list(beam_search(policy, task, _REGISTRY, cfg))
         return
-    got = beam_search(policy, task, _REGISTRY, cfg)
+    got = list(beam_search(policy, task, _REGISTRY, cfg))
     assert [(plan_hash(dp.plan), dp.log_prob) for dp in got] == expected
+
+
+class _OverflowingTable(_RandomTable):
+    """_RandomTable's weights times 1e308: two levels at 1e308 sum to inf,
+    and finite logits 3e308 apart give a score that rounds to -inf."""
+
+    def get(self, key, default=None):
+        return super().get(key) * 1e308
+
+
+@settings(max_examples=100, deadline=None)
+@given(_beam_cases())
+@example((TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE, C.BLUR), (C.MASK,)), (S.VQA,), 8, None))
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK,), (C.MASK,)), (S.QA,), 8, 7))
+def test_policy_step_scores_are_at_most_zero_or_refused(case) -> None:
+    """`beam_search` hands out a finished plan once its log-prob is strictly
+    above the best survivor's. That is exact only if no step score is
+    positive or NaN. On every state the beam reaches, each policy in the
+    package scores every action at most 0 (NaN fails the comparison), or,
+    under a table whose levels overflow, refuses the step."""
+    category, chains, builder, beam_size, table_seed = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    cfg = DecoderConfig(beam_size=beam_size)
+    seed = table_seed or 0
+    policies = [UniformPolicy(), TabularPolicy(_RandomTable(seed))]
+    with contextlib.suppress(NoFeasiblePlan):
+        target = next(beam_search(UniformPolicy(), task, _REGISTRY, cfg)).plan
+        policies.append(GuidedPlanPolicy(target, _REGISTRY))
+    overflowing = TabularPolicy(_OverflowingTable(seed))
+    live = [initial_state(task)]
+    while live:
+        grown = []
+        for state in live:
+            frontier = step_frontier(state, task, _REGISTRY, cfg.max_tools_per_branch)
+            if frontier is None:
+                continue
+            for policy in policies + [overflowing]:
+                try:
+                    scores = policy.score_step(frontier.context, frontier.actions, state)
+                except EngineError as exc:
+                    assert policy is overflowing and "is not finite" in str(exc)
+                    continue
+                assert set(scores) == set(frontier.actions)
+                assert all(score <= 0.0 for score in scores.values())
+            scores = policies[1].score_step(frontier.context, frontier.actions, state)
+            for token in frontier.actions:
+                child = apply_action(state, frontier, token, _REGISTRY, lp_delta=scores[token])
+                if not child.done:
+                    grown.append(child)
+        grown.sort(key=lambda s: (-s.log_prob, s.path))
+        live = grown[:beam_size]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_beam_cases())
+@example((TaskCategory.TEXT_TEXT_TO_TEXT, ((C.MASK,), (C.MASK,)), (S.QA,), 8, 7))
+def test_first_plan_is_the_top_of_the_full_ranking(case) -> None:
+    """`next` stops the walk early, yet hands out the plan the whole
+    ranking puts first, or raises as the whole ranking does."""
+    category, chains, builder, beam_size, table_seed = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=1)
+    policy = _case_policy(table_seed)
+    cfg = DecoderConfig(beam_size=beam_size)
+    try:
+        ranked = list(beam_search(policy, task, _REGISTRY, cfg))
+    except NoFeasiblePlan:
+        with pytest.raises(NoFeasiblePlan):
+            next(beam_search(policy, task, _REGISTRY, cfg))
+        return
+    assert next(beam_search(policy, task, _REGISTRY, cfg)) == ranked[0]
+
+
+def test_first_plan_walks_fewer_steps_than_the_full_ranking(catalog, registry, monkeypatch) -> None:
+    """On a stock task, taking the top plan makes fewer `step_frontier`
+    calls than ranking every plan: the walk stops once the top is certain."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return step_frontier(*args)
+
+    monkeypatch.setattr(decoder_module, "step_frontier", counted)
+    task = list(catalog)[0]
+    list(beam_search(UniformPolicy(), task, registry, DecoderConfig()))
+    full = len(calls)
+    calls.clear()
+    next(beam_search(UniformPolicy(), task, registry, DecoderConfig()))
+    assert 0 < len(calls) < full
 
 
 @settings(max_examples=100, deadline=None)
@@ -454,7 +545,7 @@ def test_beam_golden_top_plans() -> None:
     for task in catalog:
         for beam_size in (4, 30):
             cfg = DecoderConfig(beam_size=beam_size)
-            results = beam_search(UniformPolicy(), task, _REGISTRY, cfg)
+            results = list(beam_search(UniformPolicy(), task, _REGISTRY, cfg))
             rows.append(
                 (task.id, beam_size, len(results), [plan_hash(dp.plan)[:12] for dp in results[:3]])
             )
@@ -519,7 +610,7 @@ def test_beam_and_sampler_return_only_valid_plans(beam_case, sample_case) -> Non
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
     policy = _case_policy(table_seed)
     try:
-        decoded = beam_search(policy, task, _REGISTRY, DecoderConfig(beam_size=beam_size))
+        decoded = list(beam_search(policy, task, _REGISTRY, DecoderConfig(beam_size=beam_size)))
         found = [(task, dp.plan) for dp in decoded]
     except NoFeasiblePlan:
         found = []
@@ -610,7 +701,7 @@ def test_beam_search_returns_distinct_plans(case) -> None:
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
     policy = _case_policy(table_seed)
     try:
-        decoded = beam_search(policy, task, _REGISTRY, DecoderConfig(beam_size=beam_size))
+        decoded = list(beam_search(policy, task, _REGISTRY, DecoderConfig(beam_size=beam_size)))
     except NoFeasiblePlan:
         return
     hashes = [plan_hash(dp.plan) for dp in decoded]

@@ -66,7 +66,7 @@ def test_score_tokens_is_log_softmax() -> None:
 def test_log_prob_matches_uniform_replay(catalog, registry) -> None:
     params = PolicyParams()
     for task in list(catalog)[:4]:
-        top = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0]
+        top = next(beam_search(UniformPolicy(), task, registry, DecoderConfig()))
         lp = log_prob(params, top.plan, task, registry)
         steps = replay_steps(top.plan, task, registry)
         assert math.isclose(lp, sum(-math.log(len(s.actions)) for s in steps))
@@ -87,7 +87,7 @@ def test_grad_matches_finite_differences(catalog, registry) -> None:
     h = 1e-5
     tasks = list(catalog)[:3] + [next(t for t in catalog if len(t.input_signature) == 2)]
     for task in tasks:
-        plan = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0].plan
+        plan = next(beam_search(UniformPolicy(), task, registry, DecoderConfig())).plan
         for _ in range(3):
             params = _random_params_for(plan, task, registry, rng)
             grad = grad_log_prob(params, plan, task, registry)
@@ -107,7 +107,7 @@ def test_grad_matches_finite_differences(catalog, registry) -> None:
 def test_step_gradients_sum_to_zero(catalog, registry) -> None:
     rng = random.Random(5)
     task = list(catalog)[0]
-    plan = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0].plan
+    plan = next(beam_search(UniformPolicy(), task, registry, DecoderConfig())).plan
     params = _random_params_for(plan, task, registry, rng)
     for step in replay_steps(plan, task, registry):
         probs = score_tokens(params, step.context, step.actions)
@@ -120,7 +120,7 @@ def test_step_gradients_sum_to_zero(catalog, registry) -> None:
 def test_grad_aggregates_per_step_terms(catalog, registry) -> None:
     rng = random.Random(6)
     task = list(catalog)[1]
-    plan = beam_search(UniformPolicy(), task, registry, DecoderConfig())[0].plan
+    plan = next(beam_search(UniformPolicy(), task, registry, DecoderConfig())).plan
     params = _random_params_for(plan, task, registry, rng)
     manual: dict = {}
     for step in replay_steps(plan, task, registry):
@@ -171,6 +171,14 @@ def _reference_log_probs(params, levels, allowed) -> dict:
     return {a: logits[a] - log_total for a in allowed}
 
 
+def _refused(params, levels, allowed) -> bool:
+    """Whether some token's logit, summed over the levels as the reference
+    sums it, is not finite: the policy refuses such a step."""
+    return not all(
+        math.isfinite(_plain_sum(params.get((level, a), 0.0) for level in levels)) for a in allowed
+    )
+
+
 def _reference_grad(params, steps) -> dict:
     """The gradient as it was taken before episodes were compiled: keys,
     logits and log-probabilities rebuilt from the steps on every call."""
@@ -209,8 +217,10 @@ def test_compiled_gradient_equals_the_step_gradient(case, cap, table_seed, data)
     equals the reference at every step, over the capped actions that
     decoding scores and the uncapped ones a replay scores; the gradient from
     `compile_episode`'s rows equals the per-step computation key for key,
-    in the same key order. Both compare by float.hex, so NaN and inf
-    entries agree too, and on every Python version."""
+    in the same key order. Both compare by float.hex, so they agree on
+    every Python version. A step with a non-finite logit (1e308 on both
+    levels sums to inf) is refused by `score_tokens` and by the gradient
+    of any episode holding it; the episode's steps before it still match."""
     category, (chains, builder) = case
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
     state, steps = initial_state(task), []
@@ -220,12 +230,21 @@ def test_compiled_gradient_equals_the_step_gradient(case, cap, table_seed, data)
         steps.append(ReplayStep(frontier.context, frontier.uncapped, token))
         levels = context_levels(frontier.context)
         for actions in (frontier.actions, frontier.uncapped):
+            if _refused(params, levels, actions):
+                with pytest.raises(EngineError, match="is not finite"):
+                    score_tokens(params, frontier.context, actions)
+                continue
             assert _hexes(score_tokens(params, frontier.context, actions)) == _hexes(
                 _reference_log_probs(params, levels, actions)
             )
         state = apply_action(state, frontier, token, _REGISTRY)
-    got = grad_log_prob_episode(params, compile_episode(steps))
-    assert _hexes(got) == _hexes(_reference_grad(params, steps))
+    refused = [_refused(params, context_levels(step.context), step.actions) for step in steps]
+    clean = steps[: refused.index(True)] if True in refused else steps
+    got = grad_log_prob_episode(params, compile_episode(clean))
+    assert _hexes(got) == _hexes(_reference_grad(params, clean))
+    if len(clean) < len(steps):
+        with pytest.raises(EngineError, match="is not finite"):
+            grad_log_prob_episode(params, compile_episode(steps))
 
 
 def test_apply_gradient_scales_and_accumulates() -> None:
@@ -251,7 +270,7 @@ def test_pretraining_raises_gold_likelihood(catalog, registry) -> None:
     assert after > before
     greedy = TabularPolicy(trained)
     for task, gold in labeled:
-        top = beam_search(greedy, task, registry, DecoderConfig())[0]
+        top = next(beam_search(greedy, task, registry, DecoderConfig()))
         assert tuple(n.tool for n in top.plan.nodes) == tuple(n.tool for n in gold.nodes)
 
 
@@ -310,7 +329,7 @@ def test_remote_policy_round_trips_scores(catalog, registry) -> None:
     try:
         remote = RemotePolicy(client_io)
         task = list(catalog)[0]
-        plans = beam_search(remote, task, registry, DecoderConfig(beam_size=3))
+        plans = list(beam_search(remote, task, registry, DecoderConfig(beam_size=3)))
         assert plans
         # Longest action name wins every step under the peer's scoring.
         scores = remote.score_step(CTX, ["ab", "c"], None)
@@ -403,6 +422,29 @@ def test_serve_requests_answers_malformed_lines_and_keeps_serving() -> None:
         assert set(reply) == {"error"} and isinstance(reply["error"], str)
     assert replies[-1] == {"scores": {"a": 1.0, "b": 1.0}}
     assert seen == [(CTX, ["a", "b"])]
+
+
+def test_serve_requests_refuses_the_shared_level_as_a_previous_tool() -> None:
+    """No decoder step has `*` as its previous tool; with it, a context's two
+    levels would be one table entry, counted twice. The request gets an error
+    reply and the loop keeps reading."""
+    shared = context_levels(CTX)[0]
+    lines = [
+        json.dumps({"context": context_to_json(shared), "allowed": ["a", "b"]}),
+        json.dumps({"context": context_to_json(CTX), "allowed": ["a", "b"]}),
+    ]
+    pipe = _Pipe("".join(line + "\n" for line in lines).encode())
+    seen = []
+
+    def peer(ctx: Context, allowed: list[str]) -> dict[str, float]:
+        seen.append(ctx)
+        return score_tokens({(shared, "a"): 1.0}, ctx, allowed)
+
+    assert serve_requests(pipe, peer) == 2
+    refused, answered = [json.loads(line) for line in pipe.outgoing.getvalue().splitlines()]
+    assert set(refused) == {"error"} and "prev_tool" in refused["error"]
+    assert seen == [CTX]
+    assert math.isclose(math.exp(answered["scores"]["a"]), math.e / (math.e + 1))
 
 
 def test_remote_policy_raises_on_the_servers_error_reply() -> None:

@@ -13,8 +13,13 @@ goes first alternates from pair to pair. At least 10 pairs are run, as
 the gain rule needs: the head wins at least nine of ten pairs, and its
 median beats the base's by more than the base's interquartile range.
 
+Before each run, a fixed pure-Python loop is timed in this process
+(``probe_s``), so a run that reads slow because the host slowed down
+shows it; the gain rule reads ``wall_s`` alone.
+
 The result is written to ``BENCH_<label>.json`` at the repository root:
-the machine facts; per run, ``wall_s``, ``setup_s`` and ``peak_rss_mb``;
+the machine facts; per run, ``probe_s``, ``wall_s``, ``setup_s`` and
+``peak_rss_mb``;
 per side, the median and quartiles of each; per metric, the pairs the
 head won (ties count for neither) and whether the gain rule holds; and
 both sides' artefact digests. The file is not written, and the exit code
@@ -32,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +45,7 @@ RUNNER = ROOT / "perfbench" / "run.py"
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # lower is better for each
 SIDES = ("base", "head")
 MIN_PAIRS = 10
+PROBE_LOOPS = 2_000_000
 
 
 def git(*args: str) -> str:
@@ -53,6 +60,15 @@ def export(rev: str, into: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True, capture_output=True)
+
+
+def probe() -> float:
+    """Seconds this host takes for a fixed pure-Python loop."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(PROBE_LOOPS):
+        total += i % 7
+    return time.perf_counter() - start
 
 
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
@@ -81,9 +97,10 @@ def measure(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
     for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(trees[side], workload, seconds))
+            probe_s = probe()
+            runs[side].append({**run_once(trees[side], workload, seconds), "probe_s": probe_s})
             last = runs[side][-1]["values"]
-            print(f"{workload} pair {pair + 1}/{pairs} {side}: "
+            print(f"{workload} pair {pair + 1}/{pairs} {side}: probe_s={probe_s:.4f} "
                   + " ".join(f"{m}={last[m]:.4f}" for m in METRICS), flush=True)
     digests = {}
     for side in SIDES:
@@ -95,7 +112,10 @@ def measure(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
         raise RuntimeError(f"{workload}: digests differ: {digests}")
     report = {"pairs": pairs, "digests": digests, "runs": {}, "sides": {}, "gain": {}}
     for side in SIDES:
-        report["runs"][side] = [{m: run["values"][m] for m in METRICS} for run in runs[side]]
+        report["runs"][side] = [
+            {"probe_s": run["probe_s"], **{m: run["values"][m] for m in METRICS}}
+            for run in runs[side]
+        ]
         report["sides"][side] = {m: summary([r[m] for r in report["runs"][side]]) for m in METRICS}
         report["sides"][side].update(
             {m: runs[side][0]["values"][m] for m in ("reward_mean", "ok_frac")}
