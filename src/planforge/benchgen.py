@@ -7,8 +7,9 @@ is solvable exactly because it was manufactured from the operations
 that undo it.
 
 The oracle enumerates the full canonical plan family up to a depth
-bound, scores every candidate that can still win, and keeps the argmax. It shares nothing
-with the beam decoder except the plan data structures.
+bound, scores every candidate that can still win, and keeps the argmax. Besides
+the plan data structures it shares only ``replay_steps`` with the decoder: with
+``replayable_only`` the winner must replay, and its steps are ``best_steps``.
 """
 
 from __future__ import annotations

@@ -333,6 +333,8 @@ def _request(line: bytes) -> tuple[Context, list[str]]:
         raise PeerProtocolError(f"request prev_tool {SHARED_PREV!r} names no tool")
     if not isinstance(allowed, list) or not all(isinstance(a, str) for a in allowed):
         raise PeerProtocolError("request allowed must be a list of strings")
+    if not allowed or len(set(allowed)) != len(allowed):
+        raise PeerProtocolError("request allowed must be a non-empty list of distinct tokens")
     return ctx, allowed
 
 
@@ -341,9 +343,9 @@ def serve_requests(
 ) -> int:
     """Answer RemotePolicy requests until the stream ends. Returns count served.
 
-    A malformed request line, or one whose context names the shared
-    level's `*` as its previous tool, is answered with {"error": "..."}
-    and counts as served; the loop keeps reading.
+    A malformed request line, an `allowed` that is empty or repeats a
+    token, or a context naming the shared level's `*` as its previous tool
+    is answered with {"error": "..."} and counts as served; the loop goes on.
     """
     served = 0
     while line := transport.readline():

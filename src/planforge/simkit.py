@@ -586,10 +586,13 @@ def _expr_from_json(text: object) -> Expr:
 
 
 def payload_from_json(doc: dict) -> Payload:
-    return Payload(
+    payload = Payload(
         member_of(Modality, doc["modality"]),
         _expr_from_json(doc["expr"]),
         member_of(Language, doc["language"]),
         tuple([member_of(Corruption, c) for c in doc["corruptions"]]),
         doc["quality"],
     )
+    if isinstance(doc["quality"], bool):  # Payload takes True as 1
+        raise TypeError(f"quality must be a number, not {doc['quality']!r}")
+    return payload

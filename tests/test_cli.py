@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from statistics import fmean
 
@@ -19,6 +22,8 @@ from planforge.context import context_levels, context_to_json
 from planforge.decoder import initial_state, step_frontier
 from planforge.executor import execute_task
 from planforge.registry import default_registry
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_CONFIG = {
     "catalog": {
@@ -335,6 +340,7 @@ MALFORMED_DOCUMENTS = [
     ("parse", "registry", "registry", [{"name": "<bos>", "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
     ("parse", "registry", "registry", [{"name": "<end>", "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
     ("parse", "registry", "registry", [{"name": "*", "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
+    ("eval", "--catalog", "task", lambda catalog: _with_quality(catalog, True)),
 ]
 
 
@@ -658,16 +664,51 @@ def test_gen_writes_each_task_as_in_the_catalog(ws) -> None:
 
 
 def test_readme_library_example_prints_the_task_reward(capsys) -> None:
-    """The README's library block runs as written and prints the mean of
-    `execute_task`'s scores for the plan it decodes."""
+    """The README's library blocks run as written, in order and in one
+    namespace. The first prints the mean of `execute_task`'s scores for the
+    plan it decodes; the second prints the parsed tool sequence and that a
+    remote peer scoring every token 0 decodes the uniform policy's plan."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, flags=re.DOTALL).group(1)
+    section = readme.split("## Library use\n", 1)[1].split("\n## ", 1)[0]
+    first, second = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
     names: dict = {}
-    exec(block, names)
+    exec(first, names)
     task_id, reward = capsys.readouterr().out.split()
     assert task_id == names["task"].id
     scores = [score for _, score in execute_task(names["best"].plan, names["task"], names["registry"])]
     assert float(reward) == fmean(scores)
+    exec(second, names)
+    assert capsys.readouterr().out.splitlines() == ["('Image Deblurring', 'Colorization')", "True"]
+    assert all(name in names["prompt"] for name in names["registry"].names())
+    assert not names["peer"].is_alive()
+
+
+def _python(tmp_path, *args: str) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh process and directory, importing this checkout."""
+    env = {key: value for key, value in os.environ.items() if key != "PLANFORGE_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path) -> None:
+    proc = _python(tmp_path, "-m", "planforge", "parse", "--text", "module: Image Deblurring, module: Colorization")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"dropped": [], "sequence": ["Image Deblurring", "Colorization"]}
+
+
+def test_import_planforge_binds_and_loads_nothing_else(tmp_path) -> None:
+    """The package's surface is its modules: the package itself holds only
+    its docstring and `__version__`."""
+    probe = (
+        "import json, sys, planforge; print(json.dumps(["
+        "[n for n in vars(planforge) if not n.startswith('_')], "
+        "[m for m in sys.modules if m.startswith('planforge.')], planforge.__version__]))"
+    )
+    proc = _python(tmp_path, "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], "0.1.0"]
 
 
 def _readme_session() -> list[tuple[str, list[list[str]]]]:

@@ -406,6 +406,8 @@ def test_serve_requests_answers_malformed_lines_and_keeps_serving() -> None:
         json.dumps({"context": context_to_json(CTX), "allowed": "a"}),
         json.dumps({"context": context_to_json(CTX), "allowed": [1]}),
         "[" * 100_000,
+        json.dumps({"context": context_to_json(CTX), "allowed": []}),
+        json.dumps({"context": context_to_json(CTX), "allowed": ["a", "a"]}),
         good,
     ]
     pipe = _Pipe("".join(line + "\n" for line in lines).encode())

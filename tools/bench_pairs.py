@@ -1,4 +1,5 @@
-"""Measure a speed claim: two revisions, alternating pairs of benchmark runs.
+"""Measure two revisions in alternating pairs of benchmark runs: a speed
+claim's gain rule, and a no-regression verdict per end-to-end metric.
 
 Run from the repository root:
 
@@ -13,18 +14,29 @@ goes first alternates from pair to pair. At least 10 pairs are run, as
 the gain rule needs: the head wins at least nine of ten pairs, and its
 median beats the base's by more than the base's interquartile range.
 
+Every end-to-end metric of BENCHMARK.json is read on every run, in the
+direction its ``better`` names, and gets a verdict against its ``bound``,
+read as a fraction of the base's median:
+
+- ``worse``: the head's median is past the bound, on the wrong side of
+  the base's median (for ``wall_s``, bound 0.25, a head median above
+  1.25 times the base's);
+- ``unresolved``: not worse, but the base's interquartile range is wider
+  than the bound, so the runs spread too widely to tell, unless every
+  head run beats every base run;
+- ``within``: otherwise.
+
 Before each run, a fixed pure-Python loop is timed in this process
 (``probe_s``), so a run that reads slow because the host slowed down
-shows it; the gain rule reads ``wall_s`` alone.
+shows it; neither rule reads it.
 
 The result is written to ``BENCH_<label>.json`` at the repository root:
-the machine facts; per run, ``probe_s``, ``wall_s``, ``setup_s`` and
-``peak_rss_mb``;
-per side, the median and quartiles of each; per metric, the pairs the
-head won (ties count for neither) and whether the gain rule holds; and
-both sides' artefact digests. The file is not written, and the exit code
-is 1, when a run fails or is not correct, or when the digests differ
-between runs or between the sides.
+the machine facts; per run, ``probe_s`` and every end-to-end metric; per
+side, the median and quartiles of each; per metric, the pairs the head
+won (ties count for neither), whether the gain rule holds, and its
+verdict; and both sides' artefact digests. The file is not written, and
+the exit code is 1, when a run fails or is not correct, or when the
+digests differ between runs or between the sides.
 """
 
 from __future__ import annotations
@@ -42,7 +54,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNNER = ROOT / "perfbench" / "run.py"
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # lower is better for each
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
+METRICS = tuple(END_TO_END)
 SIDES = ("base", "head")
 MIN_PAIRS = 10
 PROBE_LOOPS = 2_000_000
@@ -92,6 +106,19 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
+    """`worse`, `unresolved` or `within`, as the module docstring defines them."""
+    sign = 1 if better == "lower" else -1  # sign * value: lower is better
+    spread = summary(base)
+    allowed = bound * abs(spread["median"])
+    if sign * (statistics.median(head) - spread["median"]) > allowed:
+        return "worse"
+    every_head_beats = max(sign * h for h in head) < min(sign * b for b in base)
+    if spread["q3"] - spread["q1"] > allowed and not every_head_beats:
+        return "unresolved"
+    return "within"
+
+
 def measure(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
     runs = {side: [] for side in SIDES}
     for pair in range(pairs):
@@ -110,27 +137,33 @@ def measure(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
         digests[side] = seen[0]
     if digests["base"] != digests["head"]:
         raise RuntimeError(f"{workload}: digests differ: {digests}")
-    report = {"pairs": pairs, "digests": digests, "runs": {}, "sides": {}, "gain": {}}
+    report = {"pairs": pairs, "digests": digests, "runs": {}, "sides": {}, "gain": {}, "verdict": {}}
     for side in SIDES:
         report["runs"][side] = [
             {"probe_s": run["probe_s"], **{m: run["values"][m] for m in METRICS}}
             for run in runs[side]
         ]
         report["sides"][side] = {m: summary([r[m] for r in report["runs"][side]]) for m in METRICS}
-        report["sides"][side].update(
-            {m: runs[side][0]["values"][m] for m in ("reward_mean", "ok_frac")}
-        )
     for m in METRICS:
+        sign = 1 if END_TO_END[m]["better"] == "lower" else -1
+        values = {side: [r[m] for r in report["runs"][side]] for side in SIDES}
         base, head = report["sides"]["base"][m], report["sides"]["head"][m]
-        won = sum(h[m] < b[m] for b, h in zip(report["runs"]["base"], report["runs"]["head"]))
-        gap = base["median"] - head["median"]
+        won = sum(sign * h < sign * b for b, h in zip(values["base"], values["head"]))
+        gap = sign * (base["median"] - head["median"])
         report["gain"][m] = {
             "pairs_won": won,
-            "median_change_frac": -gap / base["median"],
+            "median_change_frac": (
+                (head["median"] - base["median"]) / base["median"] if base["median"] else None
+            ),
             "met": (
                 pairs >= MIN_PAIRS and won * 10 >= pairs * 9 and gap > base["q3"] - base["q1"]
             ),
         }
+        report["verdict"][m] = verdict(
+            values["base"], values["head"], END_TO_END[m]["better"], END_TO_END[m]["bound"]
+        )
+        print(f"{workload} {m}: {report['verdict'][m]}, base median "
+              f"{base['median']:.4f}, head median {head['median']:.4f}", flush=True)
     return report
 
 
@@ -144,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         parser.error(f"--pairs must be at least {MIN_PAIRS}")
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    seconds = BENCHMARK["run_seconds"]
     try:
         revs = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     except subprocess.CalledProcessError as exc:
