@@ -152,9 +152,7 @@ def measure(trees: dict, workload: str, pairs: int, seconds: float) -> dict:
         gap = sign * (base["median"] - head["median"])
         report["gain"][m] = {
             "pairs_won": won,
-            "median_change_frac": (
-                (head["median"] - base["median"]) / base["median"] if base["median"] else None
-            ),
+            "median_change_frac": (head["median"] - base["median"]) / base["median"],
             "met": (
                 pairs >= MIN_PAIRS and won * 10 >= pairs * 9 and gap > base["q3"] - base["q1"]
             ),
