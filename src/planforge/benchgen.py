@@ -40,6 +40,7 @@ from .simkit import (
     IMAGE_CORRUPTIONS,
     SEMANTIC_SIGNATURES,
     Corruption,
+    Expr,
     Language,
     Modality,
     Payload,
@@ -282,17 +283,30 @@ def build_task(
     constants: SimConstants = DEFAULT_CONSTANTS,
     content_counter: "itertools.count | None" = None,
 ) -> TaskSpec:
+    """Samples on fresh leaf ids from ``content_counter``, one per input. The
+    chains and the recipe run once, on integer leaves ``0..arity-1``; by expr
+    equivariance (see `apply_tool`), putting a sample's ids in their place
+    gives what they would build on the sample's own leaves."""
     signature, out_modality = CATEGORY_SIGNATURES[category]
     if len(chains) != len(signature):
         raise ValueError("one corruption chain per task input")
     counter = content_counter if content_counter is not None else itertools.count()
+    leaves = tuple(make_leaf(modality, k) for k, modality in enumerate(signature))
+    shapes = [*map(apply_chain, leaves, chains), _apply_builder(leaves, builder, constants)]
+
+    def fill(expr: Expr | int, ids: list[str]) -> Expr:
+        if isinstance(expr, int):
+            return ids[expr]
+        return (expr[0], *[fill(child, ids) for child in expr[1:]])
+
     samples = []
     for _ in range(samples_per_task):
-        cleans = tuple(
-            make_leaf(modality, f"x{next(counter):05d}") for modality in signature
-        )
-        corrupted = tuple(apply_chain(clean, chain) for clean, chain in zip(cleans, chains))
-        samples.append(Sample(inputs=corrupted, reference=_apply_builder(cleans, builder, constants)))
+        ids = [f"x{next(counter):05d}" for _ in signature]
+        *inputs, reference = [
+            Payload(p.modality, fill(p.expr, ids), p.language, p.corruptions, p.quality)
+            for p in shapes
+        ]
+        samples.append(Sample(inputs=tuple(inputs), reference=reference))
     return TaskSpec(
         id=task_id,
         description=describe(category, chains, builder),

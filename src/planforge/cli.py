@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from statistics import fmean
 
@@ -30,10 +31,11 @@ from .errors import EngineError
 from .evalkit import comparison_to_csv, evaluate, report_to_json
 from .executor import execute_task, trace_record
 from .parser import extract_sequence
-from .plan_ir import TaskSpec, plan_from_json, plan_to_json, task_to_json, validate_plan
+from .plan_ir import TaskSpec, plan_from_json, plan_to_json, sample_to_json, task_to_json, validate_plan
 from .policy import PolicyParams, TabularPolicy, params_from_json, params_to_json
 from .registry import default_registry, registry_from_json
 from .rltf import fit, run_schema_comparison
+from .simkit import serialize_expr
 
 
 def _manifest(cfg: EngineConfig, command: str, seed: int | None) -> dict:
@@ -54,6 +56,31 @@ def _json_array(texts: list[str]) -> str:
     if not texts:
         return "[]"
     return "[\n" + ",\n".join("  " + text.replace("\n", "\n  ") for text in texts) + "\n]"
+
+
+def _task_text(task: TaskSpec) -> str:
+    """``_dumps(task_to_json(task))``, each sample written from a template
+    keyed by its payloads' shapes and quality types (1 and 1.0 encode
+    differently), with null where the exprs go: every other value there is
+    a number or a quoted enum value. Quotes in strings are escaped, so
+    ``"dataset": [`` occurs once in the dump of the other fields."""
+    head, tail = _dumps(task_to_json(replace(task, dataset=()))).split('"dataset": [')
+    parts, templates = [head, '"dataset": ['], {}
+    for i, sample in enumerate(task.dataset):
+        payloads = (*sample.inputs, sample.reference)
+        key = tuple((p.modality, p.language, p.corruptions, p.quality, type(p.quality)) for p in payloads)
+        pieces = templates.get(key)
+        if pieces is None:
+            doc = sample_to_json(sample)
+            for payload_doc in (*doc["inputs"], doc["reference"]):
+                payload_doc["expr"] = None
+            pieces = templates[key] = _dumps(doc).replace("\n", "\n    ").split("null")
+        parts.append(",\n    " if i else "\n    ")
+        for piece, payload in zip(pieces, payloads):
+            parts += (piece, encode_basestring_ascii(serialize_expr(payload.expr)))
+        parts.append(pieces[-1])
+    parts += ("\n  " if task.dataset else "", tail)
+    return "".join(parts)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -129,7 +156,7 @@ def _cmd_gen(args, cfg: EngineConfig) -> int:
     out = Path(args.out or cfg.out_dir)
     catalog = generate_catalog(cfg.catalog, cfg.sim)
     # Each task is encoded once; catalog.json is assembled from the same strings.
-    texts = [_dumps(task_to_json(task)) for task in catalog]
+    texts = [_task_text(task) for task in catalog]
     _write_text(out / "catalog.json", _json_array(texts) + "\n")
     _write_json(out / "manifest.json", _manifest(cfg, "gen", cfg.catalog.seed))
     for task, text in zip(catalog, texts):

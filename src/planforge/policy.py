@@ -305,16 +305,20 @@ def _reply_scores(line: bytes) -> dict[str, float]:
     doc = _json_object(line, "policy peer reply")
     if "error" in doc:
         raise PeerProtocolError(f"policy peer reported an error: {doc['error']!r}")
-    scores = doc.get("scores")
+    return _finite_scores(doc.get("scores"), "policy peer reply")
+
+
+def _finite_scores(scores, what: str) -> dict[str, float]:
+    """The scores as floats; anything but a dict of finite numbers is refused."""
     if not isinstance(scores, dict):
-        raise PeerProtocolError("policy peer reply lacks a scores object")
+        raise PeerProtocolError(f"{what} lacks a scores object")
     result = {}
     for token, value in scores.items():
         try:
             result[token] = _finite(value)
         except ValueError:
             raise PeerProtocolError(
-                f"policy peer sent score {value!r} for {token!r}; want a finite number"
+                f"{what} gives score {value!r} for {token!r}; want a finite number"
             ) from None
     return result
 
@@ -346,16 +350,20 @@ def serve_requests(
     A malformed request line, an `allowed` that is empty or repeats a
     token, or a context naming the shared level's `*` as its previous tool
     is answered with {"error": "..."} and counts as served; the loop goes on.
+    So is one whose `score_fn` raises `EngineError` or returns anything but
+    a dict of finite numbers over exactly the allowed tokens.
     """
     served = 0
     while line := transport.readline():
         try:
             ctx, allowed = _request(line)
-        except PeerProtocolError as exc:
+            scores = _finite_scores(score_fn(ctx, allowed), "score_fn's result")
+            if scores.keys() != set(allowed):
+                raise PeerProtocolError("score_fn must score exactly the allowed tokens")
+            reply = {"scores": scores}
+        except EngineError as exc:
             reply = {"error": str(exc)}
-        else:
-            reply = {"scores": score_fn(ctx, allowed)}
-        transport.write((json.dumps(reply) + "\n").encode())
+        transport.write((json.dumps(reply, allow_nan=False) + "\n").encode())
         transport.flush()
         served += 1
     return served
