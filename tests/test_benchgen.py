@@ -16,8 +16,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from planforge import benchgen
 from planforge.benchgen import (
     CatalogConfig,
+    _apply_builder,
     build_task,
     catalog_from_json,
     category_space,
@@ -28,14 +30,25 @@ from planforge.benchgen import (
     split_train_test,
 )
 from planforge.decoder import replay_steps
-from planforge.errors import InfeasibleCount, InvalidPlan, NoFeasiblePlan
+from planforge.errors import (
+    IllegalCorruption,
+    IllegalTranslate,
+    InfeasibleCount,
+    InvalidPlan,
+    ModalityMismatch,
+    NoFeasiblePlan,
+)
+from planforge.evalkit import assign_slot
 from planforge.executor import execute
 from planforge.plan_ir import (
+    CATEGORY_SIGNATURES,
     NodeOutput,
     PlanGraph,
     PlanNode,
+    Sample,
     TaskCategory,
     TaskInput,
+    TaskSpec,
     is_nonlinear,
     plan_to_json,
     task_to_json,
@@ -43,7 +56,15 @@ from planforge.plan_ir import (
     validate_plan,
 )
 from planforge.registry import default_registry
-from planforge.simkit import Corruption, SemanticId, similarity
+from planforge.simkit import (
+    DEFAULT_CONSTANTS,
+    Corruption,
+    SemanticId,
+    SimConstants,
+    apply_chain,
+    make_leaf,
+    similarity,
+)
 
 C = Corruption
 S = SemanticId
@@ -110,6 +131,85 @@ def test_build_task_dataset_shape() -> None:
         assert sample.reference.quality == 1.0
         content_ids.add(payload.expr)
     assert len(content_ids) == 5
+
+
+def _per_sample_task(
+    task_id: str,
+    category: TaskCategory,
+    chains: tuple,
+    builder: tuple,
+    samples_per_task: int = 20,
+    constants: SimConstants = DEFAULT_CONSTANTS,
+    content_counter=None,
+) -> TaskSpec:
+    """The reference for `build_task`: every sample runs the chains and the
+    recipe on its own leaves."""
+    signature, out_modality = CATEGORY_SIGNATURES[category]
+    if len(chains) != len(signature):
+        raise ValueError("one corruption chain per task input")
+    counter = content_counter if content_counter is not None else itertools.count()
+    samples = []
+    for _ in range(samples_per_task):
+        cleans = tuple(make_leaf(modality, f"x{next(counter):05d}") for modality in signature)
+        corrupted = tuple(apply_chain(clean, chain) for clean, chain in zip(cleans, chains))
+        samples.append(Sample(inputs=corrupted, reference=_apply_builder(cleans, builder, constants)))
+    return TaskSpec(
+        id=task_id,
+        description=describe(category, chains, builder),
+        category=category,
+        input_signature=signature,
+        output_modality=out_modality,
+        corruption_chains=chains,
+        reference_builder=builder,
+        metric_slot=assign_slot(builder, out_modality),
+        dataset=tuple(samples),
+    )
+
+
+def _same_tasks(ours, reference) -> None:
+    """Equal, and equal as documents, which also tells 1 from 1.0."""
+    assert ours == reference
+    assert json.dumps([task_to_json(t) for t in ours]) == json.dumps([task_to_json(t) for t in reference])
+
+
+@pytest.mark.parametrize("constants", [DEFAULT_CONSTANTS, SimConstants(beta=0.3, gamma=0.7, language_mismatch=0.25)])
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("category", list(TaskCategory))
+def test_build_task_matches_the_per_sample_build(category, samples, constants) -> None:
+    """`build_task` runs the chains and the recipe once and fills in each
+    sample's ids; the category's entry with the longest chains and recipe
+    comes out as if each sample had been built on its own leaves, and both
+    draw the same ids from the counter."""
+    chains, builder = max(
+        category_space(category, CatalogConfig()),
+        key=lambda combo: (len(combo[1]), sum(map(len, combo[0]))),
+    )
+    ours, theirs = itertools.count(7), itertools.count(7)
+    task = build_task("x-000", category, chains, builder, samples, constants, ours)
+    _same_tasks((task,), (_per_sample_task("x-000", category, chains, builder, samples, constants, theirs),))
+    assert next(ours) == next(theirs) == 7 + samples * len(chains)
+
+
+@pytest.mark.parametrize(
+    "category, chains, builder, error",
+    [
+        (TaskCategory.TEXT_TO_TEXT, ((C.TRANSLATE, C.TRANSLATE),), (), IllegalTranslate),
+        (TaskCategory.TEXT_TO_TEXT, ((C.BLUR,),), (), IllegalCorruption),
+        (TaskCategory.TEXT_TO_TEXT, ((C.MASK,),), (S.CLASSIFY,), ModalityMismatch),
+        (TaskCategory.TEXT_TO_TEXT, ((C.MASK,), ()), (), ValueError),
+    ],
+)
+def test_build_task_raises_as_the_per_sample_build(category, chains, builder, error) -> None:
+    for build in (build_task, _per_sample_task):
+        with pytest.raises(error):
+            build("x-000", category, chains, builder, samples_per_task=2)
+
+
+def test_catalog_matches_the_per_sample_build(monkeypatch) -> None:
+    cfg = CatalogConfig(seed=1)
+    ours = generate_catalog(cfg)
+    monkeypatch.setattr(benchgen, "build_task", _per_sample_task)
+    _same_tasks(ours, generate_catalog(cfg))
 
 
 def test_default_catalog_counts(catalog) -> None:

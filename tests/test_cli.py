@@ -17,11 +17,20 @@ import pytest
 from hypothesis import example, given
 
 from planforge.benchgen import catalog_from_json
-from planforge.cli import _dumps, _json_array, main
+from planforge.cli import _dumps, _json_array, _task_text, main
 from planforge.context import context_levels, context_to_json
 from planforge.decoder import initial_state, step_frontier
 from planforge.executor import execute_task
+from planforge.plan_ir import MetricSlot, Sample, TaskCategory, TaskSpec, task_to_json
 from planforge.registry import default_registry
+from planforge.simkit import (
+    IMAGE_CORRUPTIONS,
+    TEXT_CORRUPTIONS,
+    Language,
+    Modality,
+    Payload,
+    SemanticId,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -653,6 +662,92 @@ def test_json_array_assembles_the_dumps_of_the_list(docs) -> None:
     """`gen` encodes each task once and builds catalog.json from the
     per-task strings; the assembled string is the list's own encoding."""
     assert _json_array([_dumps(doc) for doc in docs]) == json.dumps(docs, indent=2, sort_keys=True)
+
+
+# Strings that need escapes in JSON (quotes, backslashes, non-ASCII and
+# control characters), and the markers `_task_text` splits its dumps at.
+_TRICKY = st.sampled_from(
+    ['"', "\\", "Stra\u00dfe", "\u65e5\u672c", "\x00", "\n", "\x1f", "null"]
+    + ['"dataset": [', '\n  "dataset": []']
+)
+_STRINGS = _TRICKY | st.text(max_size=6)
+_EXPRS = st.recursive(
+    _STRINGS,
+    lambda children: st.tuples(st.sampled_from(["summ", "de", "class"]), children)
+    | st.tuples(st.sampled_from(["qa", "vqa"]), children, children),
+    max_leaves=4,
+)
+# 1, 1.0 and True are equal qualities that encode differently.
+_QUALITIES = st.sampled_from([1, 1.0, True, 0.5]) | st.floats(
+    min_value=0.0, max_value=1.0, exclude_min=True
+)
+
+
+@st.composite
+def _payloads(draw, modality: Modality) -> Payload:
+    image = modality is Modality.IMAGE
+    language = Language.NONE if image else draw(st.sampled_from([Language.EN, Language.DE]))
+    legal = IMAGE_CORRUPTIONS if image else TEXT_CORRUPTIONS
+    corruptions = tuple(draw(st.lists(st.sampled_from(legal), max_size=2)))
+    return Payload(modality, draw(_EXPRS), language, corruptions, draw(_QUALITIES))
+
+
+def _task_spec(task_id: str, description: str, samples: tuple[Sample, ...]) -> TaskSpec:
+    signature = tuple(p.modality for p in samples[0].inputs)
+    return TaskSpec(
+        id=task_id,
+        description=description,
+        category=TaskCategory.TEXT_TEXT_TO_TEXT if len(signature) == 2 else TaskCategory.TEXT_TO_TEXT,
+        input_signature=signature,
+        output_modality=samples[0].reference.modality,
+        corruption_chains=tuple(p.corruptions for p in samples[0].inputs),
+        reference_builder=(SemanticId.QA, SemanticId.SUMMARIZE),
+        metric_slot=MetricSlot.BERT,
+        dataset=samples,
+    )
+
+
+@st.composite
+def _tasks(draw) -> TaskSpec:
+    """One or two inputs, one to three samples, each payload's shape drawn
+    from few enough values that samples of a task often share templates."""
+    image, text = Modality.IMAGE, Modality.TEXT
+    signature = draw(st.sampled_from([(image,), (text,), (image, text), (text, text)]))
+    out = draw(st.sampled_from(Modality))
+    samples = draw(
+        st.lists(
+            st.builds(Sample, st.tuples(*(_payloads(m) for m in signature)), _payloads(out)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return _task_spec(draw(_STRINGS), draw(_STRINGS), tuple(samples))
+
+
+_T, _EN, _DE = Modality.TEXT, Language.EN, Language.DE
+
+
+@given(_tasks())
+@example(
+    _task_spec(
+        "null",
+        '"dataset": [',
+        (
+            Sample((Payload(_T, "a", _EN, (), 1),), Payload(_T, ("summ", ("qa", "a", "b")), _DE, (), 1.0)),
+            Sample((Payload(_T, "c", _EN, (), 1.0),), Payload(_T, ("summ", ("qa", "c", "d")), _DE, (), 1)),
+            Sample((Payload(_T, '\\"\n', _EN, (), 0.25),), Payload(_T, "\u00e9", _DE, (), 1.0)),
+        ),
+    )
+)
+def test_task_text_is_the_dumps_of_the_task_document(task) -> None:
+    """`gen` writes each task from per-shape templates; the text is the
+    task document's own encoding."""
+    assert _task_text(task) == _dumps(task_to_json(task))
+
+
+def test_task_text_of_the_stock_catalog(catalog) -> None:
+    for task in catalog:
+        assert _task_text(task) == _dumps(task_to_json(task))
 
 
 def test_gen_writes_each_task_as_in_the_catalog(ws) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -447,6 +448,69 @@ def test_serve_requests_refuses_the_shared_level_as_a_previous_tool() -> None:
     assert set(refused) == {"error"} and "prev_tool" in refused["error"]
     assert seen == [CTX]
     assert math.isclose(math.exp(answered["scores"]["a"]), math.e / (math.e + 1))
+
+
+def _strict_replies(pipe: _Pipe) -> list[dict]:
+    """The peer's reply lines, parsed as strict JSON: NaN and infinities are refused."""
+
+    def refuse(name: str):
+        raise ValueError(f"reply holds {name}")
+
+    return [json.loads(line, parse_constant=refuse) for line in pipe.outgoing.getvalue().splitlines()]
+
+
+def test_serve_requests_answers_a_scorer_error_and_keeps_serving() -> None:
+    """A table whose two levels for `a` overflow makes `score_tokens` raise
+    `EngineError`; the peer answers that request with an error and reads on."""
+    shared = context_levels(CTX)[0]
+    params = PolicyParams({(shared, "a"): 1e308, (CTX, "a"): 1e308})
+    lines = [
+        json.dumps({"context": context_to_json(CTX), "allowed": ["a", "b"]}),
+        json.dumps({"context": context_to_json(CTX), "allowed": ["b", "c"]}),
+    ]
+    pipe = _Pipe("".join(line + "\n" for line in lines).encode())
+    assert serve_requests(pipe, functools.partial(score_tokens, params)) == 2
+    refused, answered = _strict_replies(pipe)
+    assert set(refused) == {"error"} and "not finite" in refused["error"]
+    assert answered == {"scores": {"b": -math.log(2), "c": -math.log(2)}}
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [
+        {"a": math.nan, "b": 0.0},
+        {"a": math.inf, "b": 0.0},
+        {"a": 10**400, "b": 0.0},
+        {"a": True, "b": 0.0},
+        {"a": "1", "b": 0.0},
+        {"a": 0.0},
+        {"a": 0.0, "b": 0.0, "c": 0.0},
+        [0.0, 0.0],
+        None,
+    ],
+)
+def test_serve_requests_refuses_scores_that_are_not_finite_over_the_allowed(scores) -> None:
+    """Each reply line is strict JSON: a score_fn result that is not a dict of
+    finite numbers over exactly the allowed tokens is answered with an error,
+    and the next request is still served."""
+    line = json.dumps({"context": context_to_json(CTX), "allowed": ["a", "b"]}) + "\n"
+    pipe = _Pipe((line * 2).encode())
+    results = iter([scores, {"a": 1, "b": 0.5}])
+    assert serve_requests(pipe, lambda ctx, allowed: next(results)) == 2
+    refused, answered = _strict_replies(pipe)
+    assert set(refused) == {"error"} and isinstance(refused["error"], str)
+    assert answered == {"scores": {"a": 1.0, "b": 0.5}}
+
+
+def test_serve_requests_lets_a_scorer_bug_raise() -> None:
+    """Only `EngineError` is answered; any other exception is a bug in score_fn."""
+    line = json.dumps({"context": context_to_json(CTX), "allowed": ["a", "b"]}) + "\n"
+
+    def broken(ctx: Context, allowed: list[str]) -> dict[str, float]:
+        raise KeyError("bug")
+
+    with pytest.raises(KeyError):
+        serve_requests(_Pipe(line.encode()), broken)
 
 
 def test_remote_policy_raises_on_the_servers_error_reply() -> None:
