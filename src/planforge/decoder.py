@@ -13,6 +13,8 @@ been consumed.
 The same state machine drives beam search, rollout sampling, which
 records its episode's steps, and replay of an existing plan as a
 decoding episode. Those steps give plans a log-probability under a policy.
+Rollouts walk a per-task `RolloutTree`, which keeps each state they reach
+so that repeated rollouts recompute nothing.
 """
 
 from __future__ import annotations
@@ -131,6 +133,10 @@ class Policy(Protocol):
     normalise their logits with `policy._log_normaliser`, which refuses a
     non-finite logit; a score is then finite unless two logits lie so far
     apart that it rounds to -inf.
+
+    A policy's scores must not change while the object lives: a
+    `RolloutTree` keeps the mixture each node was drawn from for the
+    policy object that scored it, and reuses it on later visits.
     """
 
     def score_step(
@@ -420,21 +426,56 @@ def _filtered_distribution(
     ]
 
 
-def _draw(
-    scores: dict[str, float],
-    actions: Sequence[str],
-    cfg: SamplerConfig,
-    rng: random.Random,
-    epsilon: float,
-) -> str:
-    mixture = _filtered_distribution(scores, actions, cfg, epsilon)
+def _draw(mixture: list[tuple[str, float]], rng: random.Random) -> str:
     roll = rng.random()
     cumulative = 0.0
     for a, p in mixture:
         cumulative += p
         if roll <= cumulative:
             return a
-    return mixture[-1][0]
+    # The float sum can fall short of the roll: take the last token that
+    # can be drawn, never one the filters gave probability 0.
+    return next(a for a, p in reversed(mixture) if p > 0.0)
+
+
+class _Node:
+    """A state of a rollout tree: its frontier (None when the state is done
+    or dead-ends), its children by token with the step that reaches each,
+    and the mixture drawn from it in the tree's current generation."""
+
+    __slots__ = ("state", "frontier", "children", "generation", "mixture")
+
+    def __init__(self, state: BeamState, tree: RolloutTree) -> None:
+        self.state = state
+        self.frontier = None if state.done else step_frontier(
+            state, tree.task, tree.registry, tree.cfg.max_tools_per_branch
+        )
+        self.children: dict[str, tuple[ReplayStep, _Node]] = {}
+        self.generation = -1
+        self.mixture: list[tuple[str, float]] = []
+
+
+class RolloutTree:
+    """The states `sample_plan` has reached on one task, kept across rollouts.
+
+    A sampled state depends only on its task and path, so each node's
+    frontier, and each child's `apply_action`, is computed once per tree.
+    A node also keeps the filtered mixture it was last drawn from, for
+    the policy object and epsilon of the tree's current generation: a
+    rollout with another policy object or epsilon starts a new
+    generation, and each node is scored again on its next visit. A
+    policy's scores must therefore not change while the object lives.
+
+    A tree is bound to one task, one registry and one sampler config.
+    """
+
+    def __init__(self, task: TaskSpec, registry: ToolRegistry, cfg: SamplerConfig) -> None:
+        self.task, self.registry, self.cfg = task, registry, cfg
+        self.step_cap = _step_cap(task, registry)
+        self.root = _Node(initial_state(task), self)
+        self.policy: Policy | None = None
+        self.epsilon = 0.0
+        self.generation = 0
 
 
 # Episodes `sample_plan` starts before it gives up on a task.
@@ -448,22 +489,43 @@ def sample_plan(
     cfg: SamplerConfig,
     rng: random.Random,
     epsilon: float = 0.0,
+    tree: RolloutTree | None = None,
 ) -> tuple[PlanGraph, list[ReplayStep]]:
-    """Sample one plan and its episode's steps (its `replay_steps`); dead ends are retried."""
+    """Sample one plan and its episode's steps (its `replay_steps`); dead ends are retried.
+
+    The walk runs through `tree`, a fresh one if none is given; a caller
+    that samples a task many times passes the same tree to each call.
+    Each step draws one `rng.random()`, so a shared tree draws the same
+    plans as fresh ones.
+    """
+    if tree is None:
+        tree = RolloutTree(task, registry, cfg)
+    elif tree.task is not task or tree.registry is not registry or tree.cfg != cfg:
+        raise ValueError("the rollout tree belongs to another task, registry or sampler config")
+    if policy is not tree.policy or epsilon != tree.epsilon:
+        tree.policy, tree.epsilon = policy, epsilon
+        tree.generation += 1
+    generation = tree.generation
     for _ in range(SAMPLE_RETRIES):
-        state, steps = initial_state(task), []
-        for _ in range(_step_cap(task, registry)):
-            if state.done:
-                break
-            frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
+        node, steps = tree.root, []
+        for _ in range(tree.step_cap):
+            frontier = node.frontier
             if frontier is None:
                 break
-            scores = policy.score_step(frontier.context, frontier.actions, state)
-            token = _draw(scores, frontier.actions, cfg, rng, epsilon)
-            steps.append(ReplayStep(frontier.context, frontier.uncapped, token))
-            state = apply_action(state, frontier, token, registry)
-        if state.done:
-            return to_plan(state), steps
+            if node.generation != generation:
+                scores = policy.score_step(frontier.context, frontier.actions, node.state)
+                node.mixture = _filtered_distribution(scores, frontier.actions, cfg, epsilon)
+                node.generation = generation
+            token = _draw(node.mixture, rng)
+            edge = node.children.get(token)
+            if edge is None:
+                step = ReplayStep(frontier.context, frontier.uncapped, token)
+                child = _Node(apply_action(node.state, frontier, token, registry), tree)
+                edge = node.children[token] = (step, child)
+            steps.append(edge[0])
+            node = edge[1]
+        if node.state.done:
+            return to_plan(node.state), steps
     raise NoFeasiblePlan(f"sampling kept dead-ending on {task.id}")
 
 

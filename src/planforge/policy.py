@@ -14,6 +14,12 @@ Every training gradient, supervised or reinforced, is taken from an
 episode compiled once into gradient rows (`compile_episode`): per step,
 each offered token's two table keys, and the chosen token.
 `grad_log_prob` compiles a plan's replay and takes the same gradient.
+Pretraining runs that gradient on a copy of the table whose keys are
+interned as ints.
+
+A policy's scores must not change while the policy object lives: the
+sampler's rollout trees keep the mixtures they drew from per policy
+object (see `decoder.RolloutTree`).
 """
 
 from __future__ import annotations
@@ -155,14 +161,30 @@ def pretrain_supervised(
 
     An episode is a gold plan's decoding steps. Each is compiled once,
     before the first epoch, and every epoch reuses its gradient rows, so
-    nothing is replayed and no key is rebuilt.
+    nothing is replayed and no key is rebuilt. The epochs run on the
+    table with each key interned as an int, which hashes in constant
+    time; interning is one-to-one and keeps insertion order, so every
+    epoch adds the same floats in the same order, and the keys are
+    mapped back at the end.
     """
-    current = params.copy()
-    compiled = [compile_episode(steps) for steps in episodes]
+    ids = {key: index for index, key in enumerate(params)}
+
+    def intern(key: tuple[Context, str]) -> int:
+        return ids.setdefault(key, len(ids))
+
+    interned = [
+        tuple(
+            GradientRow(tuple((intern(g), intern(f)) for g, f in row.keys), row.chosen)
+            for row in compile_episode(steps)
+        )
+        for steps in episodes
+    ]
+    current = dict(enumerate(params.values()))
     for _ in range(epochs):
-        for episode in compiled:
+        for episode in interned:
             _add_gradient(current, grad_log_prob_episode(current, episode), lr)
-    return current
+    keys = list(ids)
+    return {keys[index]: value for index, value in current.items()}
 
 
 def params_to_json(params: PolicyParams) -> dict:

@@ -17,7 +17,10 @@ already walked, then pretraining on those steps, then reinforcement.
 Each episode is compiled into gradient rows once: a gold episode
 before the first pretraining epoch, and a sampled plan's episode the
 first time that plan is sampled for its task. Every later gradient of
-the episode reuses its rows.
+the episode reuses its rows, and a batch takes one gradient per distinct
+episode however many of its rollouts sampled it. Each task's rollouts
+walk one `RolloutTree` for the whole run, so a state's frontier and
+children are computed once, and its sampling mixture once per batch.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from .benchgen import oracle_best_plan, required_oracle_depth
-from .decoder import DecoderConfig, ReplayStep, SamplerConfig, sample_plan
+from .decoder import DecoderConfig, ReplayStep, RolloutTree, SamplerConfig, sample_plan
 from .errors import NoFeasiblePlan
 from .evalkit import ReportTable, evaluate, task_reward
 from .plan_ir import PlanGraph, TaskSpec
@@ -104,16 +107,21 @@ def reinforce_step(
     steps its sampler recorded, and its reward. Gradients are taken at
     the incoming parameters; the baseline that centers the rewards is
     the one carried in, and the refreshed baseline only affects the next
-    call.
+    call. Rollouts that share an episode object share its gradient,
+    taken once; each still adds its own weighted copy, in batch order.
     """
     if not batch:
         return params, baseline
     accum: dict = {}
+    grads: dict[int, dict] = {}  # by id: the batch keeps every episode alive
     for episode, reward in batch:
         advantage = reward - baseline.value
         if advantage == 0.0:
             continue
-        for key, g in grad_log_prob_episode(params, episode).items():
+        grad = grads.get(id(episode))
+        if grad is None:
+            grad = grads[id(episode)] = grad_log_prob_episode(params, episode)
+        for key, g in grad.items():
             accum[key] = accum.get(key, 0.0) + g * advantage
     updated = apply_gradient(params, accum, lr / len(batch))
     batch_mean = fmean(reward for _, reward in batch)
@@ -132,7 +140,8 @@ def train(
     Rollouts carry the steps their sampler recorded, so no plan is replayed.
     A reward depends only on plan and task, and a plan's steps are its
     replay, so each distinct plan sampled for a task is executed and
-    compiled once, and its later rollouts reuse both.
+    compiled once, and its later rollouts reuse both. Each task's
+    rollouts walk one `RolloutTree` for the whole run.
     """
     rng = random.Random(cfg.seed)
     epsilon = cfg.epsilon
@@ -140,15 +149,19 @@ def train(
     current = params.copy()
     history: list[HistoryRow] = []
     memos: list[dict[PlanGraph, tuple[CompiledEpisode, float]]] = [{} for _ in tasks]
+    trees = [RolloutTree(task, registry, cfg.sampling) for task in tasks]
     for epoch in range(cfg.epochs):
         epoch_rewards: list[float] = []
-        for task, memo in zip(tasks, memos):
+        for task, memo, tree in zip(tasks, memos, trees):
             batch: list[tuple[CompiledEpisode, float]] = []
-            # `current` changes only after the batch, so its rollouts share one score memo.
+            # `current` changes only after the batch, so its rollouts share
+            # one score memo, and each tree node is scored once per batch.
             policy = TabularPolicy(current)
             for _ in range(cfg.rollouts_per_task):
                 try:
-                    plan, steps = sample_plan(policy, task, registry, cfg.sampling, rng, epsilon)
+                    plan, steps = sample_plan(
+                        policy, task, registry, cfg.sampling, rng, epsilon, tree
+                    )
                 except NoFeasiblePlan:
                     continue
                 if plan not in memo:

@@ -19,9 +19,13 @@ from planforge.benchgen import (
 )
 from planforge.context import BOS, END_TOKEN, Context
 from planforge.decoder import (
+    SAMPLE_RETRIES,
     DecoderConfig,
     ReplayStep,
+    RolloutTree,
     SamplerConfig,
+    _draw,
+    _filtered_distribution,
     _step_cap,
     allowed_tokens,
     apply_action,
@@ -770,3 +774,198 @@ def test_random_table_policies_score_non_uniformly() -> None:
     policy = _case_policy(0)
     for scorer in (policy, _UnmemoisedPolicy(policy.params)):
         assert len(set(scorer.score_step(ctx, actions, None).values())) > 1
+
+
+def test_draw_never_falls_back_to_a_token_the_filters_removed() -> None:
+    """The float sum of a mixture can fall short of the roll. Top-k removes
+    `d` here, and the other three sum to 0.9999999999999998, so a roll of
+    1 - 2**-53 passes them all: the draw is the last token of positive
+    probability, not the mixture's last token."""
+    cfg = SamplerConfig(temperature=1.0, top_k=3, top_p=1.0)
+    scores = {
+        "a": -2.8502044434140115,
+        "b": -2.1858088989200004,
+        "c": -2.1942416663895004,
+        "d": -50.0,
+    }
+    mixture = _filtered_distribution(scores, list(scores), cfg, 0.0)
+    assert mixture[-1] == ("d", 0.0)
+    cumulative = 0.0
+    for _, p in mixture:
+        cumulative += p
+    assert cumulative < 1 - 2**-53
+
+    class _LastRoll:
+        def random(self) -> float:
+            return 1 - 2**-53
+
+    assert _draw(mixture, _LastRoll()) == "c"
+
+
+def _reference_sample(policy, task, registry, cfg, rng, epsilon=0.0):
+    """`sample_plan` without a rollout tree: every episode walks afresh
+    from the initial state, and every step is scored and filtered."""
+    for _ in range(SAMPLE_RETRIES):
+        state, steps = initial_state(task), []
+        for _ in range(_step_cap(task, registry)):
+            if state.done:
+                break
+            frontier = step_frontier(state, task, registry, cfg.max_tools_per_branch)
+            if frontier is None:
+                break
+            scores = policy.score_step(frontier.context, frontier.actions, state)
+            mixture = _filtered_distribution(scores, frontier.actions, cfg, epsilon)
+            token = _draw(mixture, rng)
+            steps.append(ReplayStep(frontier.context, frontier.uncapped, token))
+            state = apply_action(state, frontier, token, registry)
+        if state.done:
+            return to_plan(state), steps
+    raise NoFeasiblePlan(f"sampling kept dead-ending on {task.id}")
+
+
+# Rollouts dead-end on this registry: an image branch at its tool cap can
+# neither caption nor end, so at cap 1 every walk that does not caption
+# first dead-ends, and a table or top-k that never captions raises
+# NoFeasiblePlan.
+_DEAD_ENDS = ToolRegistry(
+    (
+        ToolSpec("Image Captioning", (I,), T, S.CAPTION),
+        ToolSpec("Image Deblurring", (I,), I, S.REMOVE_BLUR),
+        ToolSpec("Image Denoising", (I,), I, S.REMOVE_NOISE),
+    )
+)
+_CAPTION_TASK = build_task(
+    "it-000", TaskCategory.IMAGE_TO_TEXT, ((C.BLUR, C.NOISE),), (S.CAPTION,), samples_per_task=1
+)
+
+
+@st.composite
+def _tree_cases(draw):
+    if draw(st.booleans()):
+        task, registry = _CAPTION_TASK, _DEAD_ENDS
+    else:
+        task, registry = draw(_walk_tasks()), _REGISTRY
+    table_seed = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)))
+    epsilon = draw(st.sampled_from((0.0, 0.1, 0.3, 1.0)))
+    cfg = SamplerConfig(
+        max_tools_per_branch=draw(st.integers(min_value=1, max_value=3)),
+        top_k=draw(st.sampled_from((0, 1, 2, 5))),
+        top_p=draw(st.sampled_from((0.5, 1.0))),
+    )
+    rng_seed = draw(st.integers(min_value=0, max_value=2**16))
+    rollouts = draw(st.integers(min_value=1, max_value=6))
+    return task, registry, table_seed, epsilon, cfg, rng_seed, rollouts
+
+
+def _rollouts(sample, count: int) -> list:
+    """`count` calls of `sample`, None for each that raised NoFeasiblePlan."""
+    results = []
+    for _ in range(count):
+        try:
+            results.append(sample())
+        except NoFeasiblePlan:
+            results.append(None)
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tree_cases())
+@example((_CAPTION_TASK, _DEAD_ENDS, 1, 0.0, SamplerConfig(max_tools_per_branch=1, top_k=1), 0, 3))
+@example((_CAPTION_TASK, _DEAD_ENDS, None, 0.3, SamplerConfig(max_tools_per_branch=1), 0, 6))
+def test_a_shared_rollout_tree_samples_as_fresh_walks(case) -> None:
+    """Rollouts through one tree draw the same plans and steps, with the same
+    retries, NoFeasiblePlan and final RNG state, as fresh-tree calls and as
+    walks that keep no tree; and the shared tree computes each path's
+    frontier at most once."""
+    task, registry, table_seed, epsilon, cfg, rng_seed, rollouts = case
+    policy = _case_policy(table_seed)
+    paths = []
+
+    def counting_frontier(state, *args):
+        paths.append(state.path)
+        return step_frontier(state, *args)
+
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder_module, "step_frontier", counting_frontier)
+        tree = RolloutTree(task, registry, cfg)
+        rng = random.Random(rng_seed)
+        shared = _rollouts(
+            lambda: sample_plan(policy, task, registry, cfg, rng, epsilon, tree), rollouts
+        )
+        results.append((shared, rng.getstate()))
+    assert paths and len(paths) == len(set(paths))
+
+    for sample in (sample_plan, _reference_sample):
+        rng = random.Random(rng_seed)
+        fresh = _rollouts(lambda: sample(policy, task, registry, cfg, rng, epsilon), rollouts)
+        results.append((fresh, rng.getstate()))
+    assert results[0] == results[1] == results[2]
+
+
+class _CountingPolicy:
+    """Scores as the given policy and records the path of every state it scores."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.scored: list[tuple[str, ...]] = []
+
+    def score_step(self, ctx, actions, state):
+        self.scored.append(state.path)
+        return self.inner.score_step(ctx, actions, state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tree_cases(), st.integers(min_value=0, max_value=2**16), st.sampled_from((0.05, 0.5)))
+def test_a_rollout_tree_scores_again_for_a_new_policy_or_epsilon(
+    case, other_seed, other_epsilon
+) -> None:
+    """A tree keeps each node's mixture for the policy object and epsilon that
+    drew from it. Three phases share one tree: a policy, then a new policy
+    object, then that object at another epsilon. In each phase the policy
+    scores every node its rollouts pass through, each node once, and the
+    rollouts match fresh-tree calls from the same RNG state."""
+    task, registry, table_seed, epsilon, cfg, rng_seed, rollouts = case
+    second = _CountingPolicy(_case_policy(other_seed))
+    phases = [
+        (_CountingPolicy(_case_policy(table_seed)), epsilon),
+        (second, epsilon),
+        (second, other_epsilon),
+    ]
+    tree = RolloutTree(task, registry, cfg)
+    shared_rng, fresh_rng = random.Random(rng_seed), random.Random(rng_seed)
+    for policy, eps in phases:
+        policy.scored.clear()
+        shared = _rollouts(
+            lambda: sample_plan(policy, task, registry, cfg, shared_rng, eps, tree), rollouts
+        )
+        scored = set(policy.scored)
+        assert len(scored) == len(policy.scored)
+        fresh = _rollouts(
+            lambda: sample_plan(policy.inner, task, registry, cfg, fresh_rng, eps), rollouts
+        )
+        assert shared == fresh
+        assert shared_rng.getstate() == fresh_rng.getstate()
+        for result in shared:
+            if result is not None:
+                chosen = tuple(step.chosen for step in result[1])
+                assert {chosen[:i] for i in range(len(chosen))} <= scored
+
+
+def test_a_rollout_tree_refuses_another_task_registry_or_config() -> None:
+    cfg = SamplerConfig(max_tools_per_branch=1)
+    tree = RolloutTree(_CAPTION_TASK, _DEAD_ENDS, cfg)
+    policy = UniformPolicy()
+    other_task = build_task(
+        "it-001", TaskCategory.IMAGE_TO_TEXT, ((C.BLUR,),), (S.CAPTION,), samples_per_task=1
+    )
+    for task, registry, sampling in (
+        (other_task, _DEAD_ENDS, cfg),
+        (_CAPTION_TASK, _REGISTRY, cfg),
+        (_CAPTION_TASK, _DEAD_ENDS, SamplerConfig(max_tools_per_branch=2)),
+    ):
+        with pytest.raises(ValueError, match="rollout tree"):
+            sample_plan(policy, task, registry, sampling, random.Random(0), 0.1, tree)
+    # An equal config is the same config.
+    equal = SamplerConfig(max_tools_per_branch=1)
+    sample_plan(policy, _CAPTION_TASK, _DEAD_ENDS, equal, random.Random(0), 0.1, tree)

@@ -527,3 +527,112 @@ def test_remote_policy_accepts_integer_and_missing_scores() -> None:
     assert math.isclose(math.exp(scores["a"]), math.e / (math.e + 1))
     sent = json.loads(remote.transport.outgoing.getvalue())
     assert sent == {"context": context_to_json(CTX), "allowed": ["a", "b"]}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_TOKENS = st.sampled_from(("a", "b", "c", "é", ""))
+_SCORE_VALUES = st.one_of(
+    st.floats(), st.integers(), st.just(10**400), st.booleans(), st.text(max_size=2), st.none()
+)
+# A line without its newline: raw bytes, any JSON document, or a request
+# whose context and allowed tokens may each be well-formed or not.
+_REQUEST_LINES = st.one_of(
+    st.binary(max_size=30).map(lambda raw: raw.replace(b"\n", b"")),
+    _JSON.map(lambda doc: json.dumps(doc).encode()),
+    st.fixed_dictionaries(
+        {
+            "context": st.one_of(
+                st.just(context_to_json(CTX)),
+                st.just(context_to_json(context_levels(CTX)[0])),
+                st.fixed_dictionaries({name: st.text(max_size=3) for name in Context._fields}),
+                _JSON,
+            ),
+            "allowed": st.one_of(st.lists(_TOKENS, max_size=4), _JSON),
+        },
+        optional={"extra": _JSON},
+    ).map(lambda doc: json.dumps(doc).encode()),
+)
+
+
+@st.composite
+def _scorers(draw):
+    """A score_fn that scores from a table, raises EngineError on an
+    overflowing table, or returns drawn values: per allowed token, or whole."""
+    kind = draw(st.sampled_from(("table", "overflow", "values")))
+    if kind == "table":
+        return functools.partial(score_tokens, PolicyParams({(CTX, "a"): 2.0}))
+    if kind == "overflow":
+        shared = context_levels(CTX)[0]
+        overflowing = PolicyParams({(shared, "a"): 1e308, (CTX, "a"): 1e308})
+        return functools.partial(score_tokens, overflowing)
+    results = draw(
+        st.lists(
+            st.one_of(_SCORE_VALUES.map(lambda v: ("each", v)), _JSON.map(lambda v: ("whole", v))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    pending = iter(results * 10)
+
+    def scorer(ctx: Context, allowed: list[str]):
+        how, value = next(pending)
+        return {a: value for a in allowed} if how == "each" else value
+
+    return scorer
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_REQUEST_LINES, min_size=1, max_size=6), _scorers())
+def test_serve_requests_answers_each_line_with_one_strict_json_line(lines, scorer) -> None:
+    """Whatever the request lines and whatever an EngineError-raising scorer
+    does, each line gets exactly one reply line, parsed as strict JSON: an
+    error string, or finite float scores over exactly the allowed tokens."""
+    pipe = _Pipe(b"".join(line + b"\n" for line in lines))
+    assert serve_requests(pipe, scorer) == len(lines)
+    out = pipe.outgoing.getvalue()
+    assert out.endswith(b"\n") and out.count(b"\n") == len(lines)
+    for line, reply in zip(lines, _strict_replies(pipe)):
+        assert isinstance(reply, dict) and len(reply) == 1
+        if "error" in reply:
+            assert isinstance(reply["error"], str)
+        else:
+            scores = reply["scores"]
+            assert scores.keys() == set(json.loads(line)["allowed"])
+            assert all(type(v) is float and math.isfinite(v) for v in scores.values())
+
+
+# A reply line: the peer closing the stream, raw bytes, any JSON document,
+# or a reply object with scores over some tokens, an error, or both.
+_REPLY_LINES = st.one_of(
+    st.just(b""),
+    st.binary(max_size=30).map(lambda raw: raw.replace(b"\n", b"") + b"\n"),
+    _JSON.map(lambda doc: json.dumps(doc).encode() + b"\n"),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "scores": st.one_of(st.dictionaries(_TOKENS, _SCORE_VALUES, max_size=4), _JSON),
+            "error": _JSON,
+        },
+    ).map(lambda doc: json.dumps(doc).encode() + b"\n"),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REPLY_LINES, st.lists(_TOKENS, min_size=1, max_size=4, unique=True))
+def test_remote_policy_gives_normalized_scores_or_a_stream_error(line, actions) -> None:
+    """Any reply line gives scores over exactly the allowed tokens, each <= 0
+    and not NaN, or raises PeerProtocolError, or ConnectionError when the
+    peer has closed the stream."""
+    remote = RemotePolicy(_Pipe(line))
+    try:
+        scores = remote.score_step(CTX, actions, None)
+    except (PeerProtocolError, ConnectionError):
+        return
+    assert list(scores) == actions
+    assert all(type(v) is float and v <= 0.0 and not math.isnan(v) for v in scores.values())

@@ -16,12 +16,15 @@ from planforge.decoder import DecoderConfig, expected_action, replay_steps, samp
 from planforge.errors import NoFeasiblePlan
 from planforge.evalkit import task_reward
 from planforge.plan_ir import TaskCategory, from_linear_sequence, validate_plan
+from planforge.context import context_levels
 from planforge.policy import (
     PolicyParams,
     TabularPolicy,
+    _add_gradient,
     apply_gradient,
     compile_episode,
     grad_log_prob,
+    grad_log_prob_episode,
     log_prob,
     pretrain_supervised,
 )
@@ -110,6 +113,51 @@ def test_zero_learning_rate_changes_nothing(registry) -> None:
     assert all(v == 0.0 for v in updated.values())
 
 
+def test_reinforce_step_takes_one_gradient_per_episode_object(registry, monkeypatch) -> None:
+    """A batch that repeats one episode object takes its gradient once; an
+    equal but distinct episode tuple takes its own. The update and the
+    baseline match the per-rollout loop item for item."""
+    task, good, bad = _bandit(registry)
+    good_episode = compile_episode(replay_steps(good, task, registry))
+    good_copy = compile_episode(replay_steps(good, task, registry))
+    bad_episode = compile_episode(replay_steps(bad, task, registry))
+    assert good_copy == good_episode and good_copy is not good_episode
+    baseline = BaselineState(0.5, True)
+    batch = [
+        (good_episode, 1.0),
+        (bad_episode, 0.25),
+        (good_episode, 0.75),
+        (good_copy, 0.9),
+        (bad_episode, 0.5),  # zero advantage: no gradient
+        (good_episode, 1.0),
+    ]
+    params = PolicyParams()
+    for episode, _ in batch[:2]:
+        _add_gradient(params, grad_log_prob_episode(PolicyParams(), episode), 0.3)
+
+    accum = {}
+    for episode, reward in batch:
+        advantage = reward - baseline.value
+        if advantage == 0.0:
+            continue
+        for key, g in grad_log_prob_episode(params, episode).items():
+            accum[key] = accum.get(key, 0.0) + g * advantage
+    expected = apply_gradient(params, accum, 0.1 / len(batch))
+    expected_baseline = update_baseline(baseline, fmean(r for _, r in batch), 0.9)
+
+    taken = []
+
+    def counting(params_, episode):
+        taken.append(episode)
+        return grad_log_prob_episode(params_, episode)
+
+    monkeypatch.setattr(planforge.rltf, "grad_log_prob_episode", counting)
+    updated, refreshed = reinforce_step(params, batch, baseline, 0.1)
+    assert list(updated.items()) == list(expected.items())
+    assert refreshed == expected_baseline
+    assert [id(episode) for episode in taken] == [id(good_episode), id(bad_episode), id(good_copy)]
+
+
 def test_train_records_history_and_decays_epsilon(catalog, registry) -> None:
     tasks = [t for t in catalog if len(t.input_signature) == 1][:3]
     cfg = TrainConfig(epochs=3, rollouts_per_task=2, epsilon=0.2)
@@ -194,6 +242,34 @@ def _reference_train(params, tasks, registry, cfg):
         )
         epsilon *= cfg.epsilon_decay
     return current, tuple(history)
+
+
+def test_pretraining_from_a_filled_table_matches_the_tuple_keyed_loop(small_split) -> None:
+    """Pretraining interns the table's keys as ints. From a table that
+    already holds entries, some on the episodes' keys and some not, the
+    result equals the loop on tuple keys, values and insertion order."""
+    _, golds = small_split
+    episodes = [steps for _, _, steps in golds]
+    step = episodes[0][0]
+    shared, full = context_levels(step.context)
+    other = episodes[-1][-1]
+    params = PolicyParams(
+        {
+            (full, step.actions[-1]): 0.5,
+            (other.context, "unused tool"): -1.25,
+            (shared, step.actions[0]): 0.0,
+            (context_levels(other.context)[0], other.chosen): -0.75,
+        }
+    )
+    before = list(params.items())
+    expected = params.copy()
+    compiled = [compile_episode(steps) for steps in episodes]
+    for _ in range(3):
+        for episode in compiled:
+            _add_gradient(expected, grad_log_prob_episode(expected, episode), 0.2)
+    got = pretrain_supervised(params, episodes, 3, 0.2)
+    assert list(got.items()) == list(expected.items())
+    assert list(params.items()) == before
 
 
 @pytest.fixture(scope="module")
