@@ -14,7 +14,7 @@ The same state machine drives beam search, rollout sampling, which
 records its episode's steps, and replay of an existing plan as a
 decoding episode. Those steps give plans a log-probability under a policy.
 Rollouts walk a per-task `RolloutTree`, which keeps each state they reach
-so that repeated rollouts recompute nothing.
+so that repeated rollouts rebuild no state, frontier or child.
 """
 
 from __future__ import annotations
