@@ -12,11 +12,11 @@ import planforge.evalkit
 import planforge.policy
 import planforge.rltf
 from planforge.benchgen import CatalogConfig, build_task, generate_catalog, oracle_best_plan
+from planforge.context import context_levels
 from planforge.decoder import DecoderConfig, expected_action, replay_steps, sample_plan
 from planforge.errors import NoFeasiblePlan
 from planforge.evalkit import task_reward
 from planforge.plan_ir import TaskCategory, from_linear_sequence, validate_plan
-from planforge.context import context_levels
 from planforge.policy import (
     PolicyParams,
     TabularPolicy,
