@@ -481,6 +481,38 @@ class _DynamicsTable(dict):
         return entry
 
 
+class _ChainCount(dict):
+    """(modality, tools used per kind, tools left) -> how many duplicate-free
+    chains of at most that many single-input tools lead from the modality
+    to the target, the empty chain included. A tool's kind is its (input,
+    output) modality pair; tools of one kind are interchangeable in a chain."""
+
+    def __init__(self, arity1: list[ToolSpec], target: Modality) -> None:
+        super().__init__()
+        kinds = [(spec.inputs[0], spec.output) for spec in arity1]
+        distinct = list(dict.fromkeys(kinds))
+        self.kind_of = {spec.name: distinct.index(kind) for spec, kind in zip(arity1, kinds)}
+        self.kinds = [(*kind, kinds.count(kind)) for kind in distinct]
+        self.target = target
+
+    def count(self, modality: Modality, used, left: int) -> int:
+        """The count for chains that use none of the tool names ``used``."""
+        per_kind = [0] * len(self.kinds)
+        for name in used:
+            per_kind[self.kind_of[name]] += 1
+        return self[modality, tuple(per_kind), left]
+
+    def __missing__(self, key: tuple[Modality, tuple[int, ...], int]) -> int:
+        modality, used, left = key
+        count = int(modality is self.target)
+        for k, (source, output, size) in enumerate(self.kinds if left else ()):
+            if source is modality and used[k] < size:
+                grown = used[:k] + (used[k] + 1,) + used[k + 1:]
+                count += (size - used[k]) * self[output, grown, left - 1]
+        self[key] = count
+        return count
+
+
 def _enumerate_chains(
     arity1: list[ToolSpec],
     start_modality: Modality,
@@ -548,53 +580,53 @@ def oracle_best_plan(
     """Exhaustive argmin of (-score, tool count, plan document) over the
     canonical plan family.
 
-    A candidate is a head followed by a tail chain. A one-input task has
-    one head: task input 0, with no tools. A two-input task has a head
-    per join, input orientation and pair of chains, one chain on each
-    input (each up to max_depth): the join of the chains' outputs. A
-    head's tails are the duplicate-free tool chains up to max_depth that
-    end on the target modality and share no tool with the head. A
-    candidate has at least one tool and is scored on the task's first
-    sample. Ties on score break toward fewer tools, then toward the
+    A one-input task's candidates are its duplicate-free tool chains up
+    to max_depth that end on the target modality. A two-input task's are
+    a head, the join of one chain on each input (each up to max_depth)
+    for a join and input orientation, then a tail: a duplicate-free chain
+    up to max_depth that ends on the target and shares no tool with the
+    head. A candidate has at least one tool and is scored on the task's
+    first sample. Ties on score break toward fewer tools, then toward the
     lexicographically smallest plan document (``json.dumps`` of
     ``plan_to_json`` with sorted keys). With ``replayable_only``, a
-    candidate that would become the best is kept only if the decoder
-    can replay it, and ``best_steps`` is that replay of the winner;
-    without it, ``best_steps`` is None.
+    candidate that would become the best is kept only if the decoder can
+    replay it, and ``best_steps`` is that replay of the winner; without
+    it, ``best_steps`` is None.
 
-    The search never builds a payload. Chains walk a tool-dynamics
-    table local to the call (see `_DynamicsTable`), so each tool runs
-    once per distinct input shape, and carry their wrap ops and quality
-    factors (see `_enumerate_chains`). Tails are enumerated once per
-    head (output modality, shape) and shared by every head of that
-    shape. A joined quality is ``(q0 * q1) * factor``, the order
-    `apply_tool` multiplies in.
+    The search never builds a payload. Chains walk a tool-dynamics table
+    local to the call (see `_DynamicsTable`), so each tool runs once per
+    distinct input shape, and carry their wrap ops and quality factors
+    (see `_enumerate_chains`). Tails are enumerated once per head
+    (output modality, shape) and shared by every head of that shape. A
+    joined quality is ``(q0 * q1) * factor``, the order `apply_tool`
+    multiplies in. The structure term comes from the reference labels
+    counted down over the start exprs, then over a candidate's ops: the
+    integers `structure_similarity` divides, so `chain_similarity` of a
+    candidate's terms is the float `similarity` gives its output.
 
-    The structure term comes from label counts: the reference labels
-    are counted down once over the start exprs, once more per head over
-    its ops (its head chains' ops and join op), and then over each
-    distinct tail's ops. These are the integers `structure_similarity`
-    divides, so a candidate's score at head quality ``q`` is
-    `chain_similarity` of its content term, ``q`` and its tail's
-    factors, the same float as `similarity` of the executed output.
+    Only candidates that can still win or tie are scored; the others are
+    counted (see `_ChainCount`), so ``plans_examined`` counts the whole
+    family. A candidate scores ``content * (scale_quality(q, factors) *
+    gamma ** r)`` with every term in [0, 1], and a float multiplied by a
+    value in [0, 1] never rounds above itself. So nothing scores above
+    the quality of a chain it extends, and a join of factor ``f`` of two
+    chains, of quality ``q0`` and at most ``q1max``, scores at most
+    ``(q0 * q1max) * f``. A bound cannot win or tie when it is below the
+    best score so far, or equal to it with more tools than the best plan:
 
-    Only candidates that can still win or tie are scored. A candidate
-    scores ``content * (scale_quality(q, factors) * gamma ** r)``, and
-    the content term, every factor and ``gamma`` lie in [0, 1]. A float
-    multiplied by a value in [0, 1] never rounds above itself, so no
-    candidate scores above its head's quality ``q``, 0.0 if the join
-    raises. When that is strictly below the best score so far, no tail
-    of the head can win or tie, and none is scored. ``plans_examined``
-    still counts every candidate of the family: such a head adds the
-    number of its tails that share no tool with it, counted once per
-    head shape and set of the head's tools that those tails use. The
-    one-input head comes first, so it is always scored. Under
-    ``replayable_only`` the best score is the best replayable one, so
-    the bound skips nothing that could be kept. The winner is the argmin
-    of a total order, so the order in which heads are visited (grouped
-    by output shape) does not change it. The plan graph and its document
-    are built only for a candidate whose score and tool count tie or
-    beat the current best.
+    - one-input chains are walked depth first in `_enumerate_chains`
+      order, with the running product ``quality * factor`` as quality;
+      a chain that cannot win or tie is counted with its extensions;
+    - a head row, one chain, one join and one (modality, shape) group of
+      the other input's chains, is counted when ``(q0 * q1max) * f``
+      (0.0 if the join raises) is below the best score;
+    - a two-input head that cannot win or tie has its tails counted.
+
+    Under ``replayable_only`` the best score is the best replayable one,
+    so nothing that could be kept is skipped. The winner is the argmin of
+    a total order, so the visiting order does not change it. The plan
+    graph and its document are built only for a candidate whose score
+    and tool count tie or beat the current best.
     """
     if len(task.input_signature) > 2:
         raise ValueError("oracle handles one or two task inputs")
@@ -618,9 +650,8 @@ def oracle_best_plan(
     # (that key, the head's ops) -> structure term of each distinct tail
     # ops tuple on that head
     struct_memo: dict[tuple, list[float]] = {}
-    # (that key, the head's tools that some tail uses) -> how many of the
-    # key's tails are disjoint from those tools
-    count_memo: dict[tuple, int] = {}
+    chains = _ChainCount(arity1, target)
+    row_memo: dict[tuple, int] = {}
     examined = 0
     # Every score is >= 0, so the first candidate always becomes the best.
     best_score, best_len = -1.0, 0
@@ -653,22 +684,34 @@ def oracle_best_plan(
             found = tail_memo[key] = key, tails, list(index), tools
         return found
 
+    def offer(value, n_nodes, heads, join, tail) -> None:
+        """Keep a candidate whose score and tool count tie or beat the best."""
+        nonlocal best_score, best_len, best_plan, best_doc, best_steps
+        plan = _plan(heads, join, tail)
+        doc = None
+        if value == best_score and n_nodes == best_len:
+            doc = json.dumps(plan_to_json(plan), sort_keys=True)
+            if best_doc is None:
+                best_doc = json.dumps(plan_to_json(best_plan), sort_keys=True)
+            if doc >= best_doc:
+                return
+        steps = None
+        if replayable_only:
+            try:
+                steps = replay_steps(plan, task, registry)
+            except InvalidPlan:
+                return
+        best_score, best_len, best_plan, best_doc, best_steps = value, n_nodes, plan, doc, steps
+
     def score(found, quality, ops, used, head_len, heads, join) -> None:
-        """Every candidate of a head: its tails from `tails_from`, its
-        quality, ops (None if its join raises), tool set and node count,
-        and the `_plan` heads and join that build it."""
-        nonlocal examined, best_score, best_len, best_plan, best_doc, best_steps
-        key, tails, distinct_ops, tools = found
-        if quality < best_score:
-            # No tail scores above the head's quality: count them only.
-            clash = used & tools
-            count = count_memo.get((key, clash))
-            if count is None:
-                count = count_memo[key, clash] = sum(
-                    1 for tail in tails if clash.isdisjoint(tail[1])
-                )
-            examined += count
+        """Every candidate of a two-input head: its tails from `tails_from`,
+        quality, ops (None if its join raises), chain tools, node count, and
+        the `_plan` heads and join that build it."""
+        nonlocal examined
+        if quality < best_score or (quality == best_score and head_len > best_len):
+            examined += chains.count(found[0][0], used, max_depth)
             return
+        key, tails, distinct_ops, _ = found
         structs = ()
         if ops is not None:
             structs = struct_memo.get((key, ops))
@@ -678,35 +721,50 @@ def oracle_best_plan(
                     countdown_structure(count_down(head, tail_ops)) for tail_ops in distinct_ops
                 ]
         for tail, tail_set, factors, k, w_lang, residuals in tails:
-            n_nodes = head_len + len(tail)
-            if not (n_nodes and used.isdisjoint(tail_set)):
+            if not used.isdisjoint(tail_set):
                 continue
             examined += 1
+            n_nodes = head_len + len(tail)
             value = 0.0 if factors is None else chain_similarity(
                 structs[k] * w_lang, quality, factors, residuals, constants
             )
-            if value < best_score or (value == best_score and n_nodes > best_len):
+            if not (value < best_score or (value == best_score and n_nodes > best_len)):
+                offer(value, n_nodes, heads, join, tail)
+
+    def walk(names, modality: Modality, shape: Shape | None, countdown, quality: float) -> None:
+        """Score each child of a one-input chain, in `_enumerate_chains`
+        order, then walk it; count it instead if it is below the bound."""
+        nonlocal examined
+        if len(names) == max_depth:
+            return
+        last = len(names) + 1 == max_depth
+        for spec in arity1:
+            if spec.name in names or spec.inputs[0] is not modality or (
+                last and spec.output is not target
+            ):
                 continue
-            plan = _plan(heads, join, tail)
-            doc = None
-            if value == best_score and n_nodes == best_len:
-                doc = json.dumps(plan_to_json(plan), sort_keys=True)
-                if best_doc is None:
-                    best_doc = json.dumps(plan_to_json(best_plan), sort_keys=True)
-                if doc >= best_doc:
-                    continue
-            steps = None
-            if replayable_only:
-                try:
-                    steps = replay_steps(plan, task, registry)
-                except InvalidPlan:
-                    continue
-            best_score, best_len, best_plan, best_doc, best_steps = value, n_nodes, plan, doc, steps
+            grown, n_nodes = names + (spec.name,), len(names) + 1
+            entry = None if shape is None else table[spec.semantic, (shape,)]
+            nxt, factor, op = (None, 0.0, None) if entry is None else entry
+            bound = quality * factor
+            if bound < best_score or (bound == best_score and n_nodes > best_len):
+                examined += chains.count(spec.output, grown, max_depth - n_nodes)
+                continue
+            grown_countdown = countdown if op is None else count_down(countdown, (op,))
+            if spec.output is target:
+                examined += 1
+                value = 0.0
+                if nxt is not None:
+                    w_lang = language_term(nxt[1], reference.language, constants)
+                    content = countdown_structure(grown_countdown) * w_lang
+                    value = chain_similarity(content, bound, (), len(nxt[2]), constants)
+                if not (value < best_score or (value == best_score and n_nodes > best_len)):
+                    offer(value, n_nodes, ((0, grown),), None, ())
+            walk(grown, spec.output, nxt, grown_countdown, bound)
 
     if len(task.input_signature) == 1:
         start = sample.inputs[0]
-        found = tails_from(task.input_signature[0], _shape(start))
-        score(found, start.quality, (), frozenset(), 0, ((0, ()),), None)
+        walk((), task.input_signature[0], _shape(start), root, start.quality)
     else:
         joins = [spec for spec in registry if len(spec.inputs) == 2]
         # Each input's chains by (output modality, output shape), as the
@@ -723,7 +781,6 @@ def oracle_best_plan(
                 )
             per_input.append(groups)
         for (a, b), join in itertools.product(((0, 1), (1, 0)), joins):
-            join_set = frozenset((join.name,))
             for (mod0, shape0), heads0 in per_input[a].items():
                 for (mod1, shape1), heads1 in per_input[b].items():
                     if mod0 is not join.inputs[0] or mod1 is not join.inputs[1]:
@@ -732,17 +789,30 @@ def oracle_best_plan(
                     if shape0 is not None and shape1 is not None:
                         entry = table[join.semantic, (shape0, shape1)]
                     found = tails_from(join.output, None if entry is None else entry[0])
-                    for (chain0, set0, ops0, q0), (chain1, set1, ops1, q1) in itertools.product(
-                        heads0, heads1
-                    ):
-                        used = set0 | set1 | join_set
-                        head_len = len(used)
-                        if head_len != len(set0) + len(set1) + 1:
+                    # A row's count reads only its tools that these chains or tails use.
+                    relevant = found[3].union(*(h[1] for h in heads1))
+                    q1max = max(h[3] for h in heads1)
+                    for chain0, set0, ops0, q0 in heads0:
+                        if (0.0 if entry is None else (q0 * q1max) * entry[1]) < best_score:
+                            clash = set0 & relevant
+                            row = (join.output, b, mod1, shape1, clash)
+                            count = row_memo.get(row)
+                            if count is None:
+                                count = row_memo[row] = sum(
+                                    chains.count(join.output, clash | set1, max_depth)
+                                    for _, set1, _, _ in heads1
+                                    if clash.isdisjoint(set1)
+                                )
+                            examined += count
                             continue
-                        quality, ops = 0.0, None
-                        if entry is not None:
-                            quality, ops = (q0 * q1) * entry[1], ops0 + ops1 + (entry[2],)
-                        score(found, quality, ops, used, head_len, (chain0, chain1), join.name)
+                        for chain1, set1, ops1, q1 in heads1:
+                            if not set0.isdisjoint(set1):
+                                continue
+                            quality, ops = 0.0, None
+                            if entry is not None:
+                                quality, ops = (q0 * q1) * entry[1], ops0 + ops1 + (entry[2],)
+                            used = set0 | set1
+                            score(found, quality, ops, used, len(used) + 1, (chain0, chain1), join.name)
 
     if best_plan is None:
         raise NoFeasiblePlan(f"no plan reaches {target.value} for {task.id}")

@@ -43,15 +43,19 @@ class ReportTable:
 
 
 def task_reward(
-    plan, task: TaskSpec, registry: ToolRegistry, constants: SimConstants = DEFAULT_CONSTANTS
+    plan,
+    task: TaskSpec,
+    registry: ToolRegistry,
+    constants: SimConstants = DEFAULT_CONSTANTS,
+    classes: tuple[int, ...] | None = None,
 ) -> float:
-    """The plan's mean score over the task's dataset.
+    """The plan's mean score over the task's dataset (``classes``: see `sample_scores`).
 
     The mean is over all n sample scores, not one score per relabel
     class: ``fmean([s] * n)`` is not always ``s``, and this keeps the
     reward bit-equal to the mean of `execute_task`'s scores.
     """
-    return fmean(sample_scores(plan, task, registry, constants))
+    return fmean(sample_scores(plan, task, registry, constants, classes))
 
 
 def evaluate(

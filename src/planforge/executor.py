@@ -89,28 +89,31 @@ def execute_task(
     return [_run(plan, sample, registry, constants) for sample in task.dataset]
 
 
+def relabel_classes(task: TaskSpec) -> tuple[int, ...]:
+    """Per sample, the index of the first sample of its relabel class (see `sample_scores`)."""
+    first: dict[tuple, int] = {}
+    keys = (relabel_key((*sample.inputs, sample.reference)) for sample in task.dataset)
+    return tuple(first.setdefault(key, i) for i, key in enumerate(keys))
+
+
 def sample_scores(
     plan: PlanGraph,
     task: TaskSpec,
     registry: ToolRegistry,
     constants: SimConstants = DEFAULT_CONSTANTS,
+    classes: tuple[int, ...] | None = None,
 ) -> list[float]:
     """`execute_task`'s scores, float for float, from one execution per
     relabel class.
 
     Samples whose inputs and reference have equal `relabel_key`s differ
     only in the names of their leaves, and the plan scores them the
-    same. The first sample of each class is executed; the others in the
-    class copy its score.
+    same. The first sample of each class (``classes``, computed when not
+    given) is executed; the others in the class copy its score.
     """
-    by_class: dict[tuple, float] = {}
-    scores = []
-    for sample in task.dataset:
-        key = relabel_key((*sample.inputs, sample.reference))
-        if key not in by_class:
-            by_class[key] = _run(plan, sample, registry, constants)[1]
-        scores.append(by_class[key])
-    return scores
+    classes = relabel_classes(task) if classes is None else classes
+    by_class = {i: _run(plan, task.dataset[i], registry, constants)[1] for i in dict.fromkeys(classes)}
+    return [by_class[first] for first in classes]
 
 
 def trace_record(task_id: str, plan: PlanGraph, score: float, trace: ExecutionTrace) -> dict:

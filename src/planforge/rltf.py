@@ -33,6 +33,7 @@ from .benchgen import oracle_best_plan, required_oracle_depth
 from .decoder import DecoderConfig, ReplayStep, RolloutTree, SamplerConfig, sample_plan
 from .errors import NoFeasiblePlan
 from .evalkit import ReportTable, evaluate, task_reward
+from .executor import relabel_classes
 from .plan_ir import PlanGraph, TaskSpec
 from .policy import (
     CompiledEpisode,
@@ -140,8 +141,8 @@ def train(
     Rollouts carry the steps their sampler recorded, so no plan is replayed.
     A reward depends only on plan and task, and a plan's steps are its
     replay, so each distinct plan sampled for a task is executed and
-    compiled once, and its later rollouts reuse both. Each task's
-    rollouts walk one `RolloutTree` for the whole run.
+    compiled once, and its later rollouts reuse both. A task's rollouts
+    walk one `RolloutTree`, and its relabel classes are found once.
     """
     rng = random.Random(cfg.seed)
     epsilon = cfg.epsilon
@@ -150,9 +151,10 @@ def train(
     history: list[HistoryRow] = []
     memos: list[dict[PlanGraph, tuple[CompiledEpisode, float]]] = [{} for _ in tasks]
     trees = [RolloutTree(task, registry, cfg.sampling) for task in tasks]
+    classes = [relabel_classes(task) for task in tasks]
     for epoch in range(cfg.epochs):
         epoch_rewards: list[float] = []
-        for task, memo, tree in zip(tasks, memos, trees):
+        for task, memo, tree, task_classes in zip(tasks, memos, trees, classes):
             batch: list[tuple[CompiledEpisode, float]] = []
             # `current` changes only after the batch, so its rollouts share
             # one score memo, and each tree node is scored once per batch.
@@ -165,7 +167,7 @@ def train(
                 except NoFeasiblePlan:
                     continue
                 if plan not in memo:
-                    reward = task_reward(plan, task, registry, constants)
+                    reward = task_reward(plan, task, registry, constants, task_classes)
                     memo[plan] = compile_episode(steps), reward
                 batch.append(memo[plan])
             current, baseline = reinforce_step(

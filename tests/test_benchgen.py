@@ -59,14 +59,17 @@ from planforge.registry import default_registry
 from planforge.simkit import (
     DEFAULT_CONSTANTS,
     Corruption,
+    Modality,
     SemanticId,
     SimConstants,
     apply_chain,
     make_leaf,
+    scale_quality,
     similarity,
 )
 
 C = Corruption
+M = Modality
 S = SemanticId
 
 SPACE_SIZES = {
@@ -526,3 +529,127 @@ def test_oracle_matches_naive_reference(case) -> None:
     assert result.plans_examined == candidates
     assert result.best_steps == (replay_steps(plan, task, _REGISTRY) if replayable_only else None)
     assert result.best_reward == fmean(_naive_score(plan, s, _REGISTRY) for s in task.dataset)
+
+
+# At the tight depth (3 to 5 tools for a one-input task) the one-input
+# walk skips most chains, which depths 1 and 2 above barely reach.
+
+_ONE_INPUT_TIGHT = [
+    (category, chains, builder)
+    for category in TaskCategory
+    if len(CATEGORY_SIGNATURES[category][0]) == 1
+    for chains, builder in _SPACES[category]
+    if 3 <= len(chains[0]) + len(builder) <= 5
+]
+
+
+@st.composite
+def _tight_one_input_cases(draw):
+    category, chains, builder = draw(st.sampled_from(_ONE_INPUT_TIGHT))
+    qualities = (draw(st.sampled_from([1.0, 0.9, 0.5, 0.37])),)
+    return category, chains, builder, draw(st.booleans()), qualities
+
+
+@settings(max_examples=5, deadline=None)
+@given(_tight_one_input_cases())
+@example((TaskCategory.IMAGE_TO_TEXT, ((C.NOISE, C.BLUR, C.GRAY, C.LOWRES),), (S.CAPTION,), True, (0.37,)))
+# Two chains tie on score and tool count, and the plan document breaks
+# the tie: a chain whose bound equals the best score must still be walked.
+@example((TaskCategory.TEXT_TO_IMAGE, ((),), (S.SENTIMENT, S.TRANSLATE_EN_DE, S.GENERATE), False, (1.0,)))
+def test_oracle_matches_naive_reference_at_tight_depth(case) -> None:
+    category, chains, builder, replayable_only, qualities = case
+    task = build_task("x-000", category, chains, builder, samples_per_task=2)
+    task = _with_input_qualities(task, qualities)
+    depth = required_oracle_depth(task)
+    assert 3 <= depth <= 5
+    plan, candidates = _naive_oracle(task, _REGISTRY, depth, replayable_only)
+    result = oracle_best_plan(task, _REGISTRY, depth, replayable_only=replayable_only)
+    assert result.best_plan == plan
+    assert result.plans_examined == candidates
+    assert result.best_steps == (replay_steps(plan, task, _REGISTRY) if replayable_only else None)
+    assert result.best_reward == fmean(_naive_score(plan, s, _REGISTRY) for s in task.dataset)
+
+
+# The bounds the oracle skips candidates by, and the count it adds for
+# them. A candidate's score never exceeds the quality of a chain it
+# extends, nor (q0 * q1max) * f for a join of factor f of chains of
+# quality q0 and q1 <= q1max; a skipped chain and its extensions, or a
+# skipped head's tails, are counted by benchgen._ChainCount.
+
+_UNARY = [spec for spec in _REGISTRY if len(spec.inputs) == 1]
+_COUNTS = {target: benchgen._ChainCount(_UNARY, target) for target in (M.IMAGE, M.TEXT)}
+_NAIVE_CHAINS = {modality: _naive_chains(_REGISTRY, modality, 5) for modality in (M.IMAGE, M.TEXT)}
+
+
+@st.composite
+def _chain_prefixes(draw):
+    """A one-input task whose input has quality q, and one of the chains
+    the oracle walks from that input, with every chain of the walk."""
+    category, chains, builder = draw(st.sampled_from([
+        (category, chains, builder)
+        for category in TaskCategory
+        if len(CATEGORY_SIGNATURES[category][0]) == 1
+        for chains, builder in _SPACES[category]
+        if len(chains[0]) + len(builder) <= 3
+    ]))
+    quality = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    task = _with_input_qualities(build_task("x-000", category, chains, builder, 1), (quality,))
+    [start] = task.dataset[0].inputs
+    walked = benchgen._enumerate_chains(
+        _UNARY,
+        start.modality,
+        benchgen._shape(start),
+        required_oracle_depth(task),
+        benchgen._DynamicsTable(DEFAULT_CONSTANTS),
+        task.output_modality,
+    )
+    return task, draw(st.sampled_from(walked)), walked
+
+
+@settings(max_examples=25, deadline=None)
+@given(_chain_prefixes())
+def test_no_extension_of_a_chain_scores_above_its_quality(case) -> None:
+    task, (prefix, _, _, _, factors), walked = case
+    [sample] = task.dataset
+    bound = scale_quality(sample.inputs[0].quality, factors)
+    extensions = [
+        names for names, end, _, _, _ in walked
+        if names[: len(prefix)] == prefix and names and end is task.output_modality
+    ]
+    for names in extensions:
+        plan = benchgen._plan(((0, names),), None, ())
+        assert _naive_score(plan, sample, _REGISTRY) <= bound
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(_UNIT, _UNIT, _UNIT, _UNIT, st.lists(_UNIT, max_size=4), st.lists(_UNIT, max_size=4))
+def test_quality_bounds_are_monotone_under_float_rounding(q0, a, b, f, factors, more) -> None:
+    q1, q1max = sorted((a, b))
+    assert (q0 * q1) * f <= (q0 * q1max) * f
+    assert scale_quality(q0, tuple(factors + more)) <= scale_quality(q0, tuple(factors))
+
+
+# Tool sets the count may meet: any set of single-input tools, and the
+# tools of a two-input head (a chain on each input).
+_TOOL_SETS = st.one_of(
+    st.frozensets(st.sampled_from([spec.name for spec in _UNARY])),
+    st.builds(
+        lambda image, text: frozenset(image[0] + text[0]),
+        st.sampled_from(_naive_chains(_REGISTRY, M.IMAGE, 2)),
+        st.sampled_from(_naive_chains(_REGISTRY, M.TEXT, 2)),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([M.IMAGE, M.TEXT]), st.sampled_from([M.IMAGE, M.TEXT]), st.integers(0, 5), _TOOL_SETS)
+@example(M.TEXT, M.TEXT, 2, frozenset({"Image Deblurring", "Image Captioning", "Fill Mask"}))
+@example(M.IMAGE, M.TEXT, 5, frozenset())
+def test_chain_count_matches_a_naive_count(modality, target, left, used) -> None:
+    naive = sum(
+        1 for names, end in _NAIVE_CHAINS[modality]
+        if len(names) <= left and end is target and used.isdisjoint(names)
+    )
+    assert _COUNTS[target].count(modality, used, left) == naive
