@@ -534,18 +534,19 @@ def test_oracle_matches_naive_reference(case) -> None:
 # At the tight depth (3 to 5 tools for a one-input task) the one-input
 # walk skips most chains, which depths 1 and 2 above barely reach.
 
-_ONE_INPUT_TIGHT = [
-    (category, chains, builder)
+_ONE_INPUT = [
+    (category, chains, builder, len(chains[0]) + len(builder))
     for category in TaskCategory
     if len(CATEGORY_SIGNATURES[category][0]) == 1
     for chains, builder in _SPACES[category]
-    if 3 <= len(chains[0]) + len(builder) <= 5
 ]
 
 
 @st.composite
 def _tight_one_input_cases(draw):
-    category, chains, builder = draw(st.sampled_from(_ONE_INPUT_TIGHT))
+    category, chains, builder, _ = draw(
+        st.sampled_from([case for case in _ONE_INPUT if 3 <= case[3] <= 5])
+    )
     qualities = (draw(st.sampled_from([1.0, 0.9, 0.5, 0.37])),)
     return category, chains, builder, draw(st.booleans()), qualities
 
@@ -585,13 +586,7 @@ _NAIVE_CHAINS = {modality: _naive_chains(_REGISTRY, modality, 5) for modality in
 def _chain_prefixes(draw):
     """A one-input task whose input has quality q, and one of the chains
     the oracle walks from that input, with every chain of the walk."""
-    category, chains, builder = draw(st.sampled_from([
-        (category, chains, builder)
-        for category in TaskCategory
-        if len(CATEGORY_SIGNATURES[category][0]) == 1
-        for chains, builder in _SPACES[category]
-        if len(chains[0]) + len(builder) <= 3
-    ]))
+    category, chains, builder, _ = draw(st.sampled_from([case for case in _ONE_INPUT if case[3] <= 3]))
     quality = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     task = _with_input_qualities(build_task("x-000", category, chains, builder, 1), (quality,))
     [start] = task.dataset[0].inputs

@@ -5,7 +5,7 @@ and a config are each mutated: one or two JSON subtrees are replaced,
 deleted or duplicated. The commands that read the document then run
 in-process. Whatever the document holds, no exception escapes `main`,
 the exit code is 0, 1 or 2, and a non-zero exit writes a first stderr
-line that is one JSON object.
+line that is one JSON object and leaves no output directory.
 """
 
 from __future__ import annotations
@@ -130,16 +130,17 @@ def _argv(command: str, files: dict) -> list[str]:
 @given(data=st.data())
 def test_a_mutated_document_gives_an_exit_code_and_a_json_error(documents, data) -> None:
     kind, command, doc = data.draw(_runs(documents))
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as workdir:
         files = {}
         for name, original in documents.items():
-            path = Path(scratch) / f"{name}.json"
+            path = Path(workdir) / f"{name}.json"
             path.write_text(json.dumps(doc if name == kind else original))
             files[name] = str(path)
-        argv = ["--config", files["config"], "--out", str(Path(scratch) / "out"), command]
+        out = Path(workdir) / "out"
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main(argv + _argv(command, files))
-    assert code in (0, 1, 2)
-    if code:
-        assert isinstance(json.loads(err.getvalue().splitlines()[0]), dict)
+            code = main(["--config", files["config"], "--out", str(out), command, *_argv(command, files)])
+        assert code in (0, 1, 2)
+        if code:
+            assert isinstance(json.loads(err.getvalue().splitlines()[0]), dict)
+            assert not out.exists()
