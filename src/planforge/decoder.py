@@ -129,10 +129,9 @@ class Policy(Protocol):
     """Normalized log-probabilities over a step's actions, given the state it extends.
 
     Each score is <= 0 and never NaN: `beam_search` hands plans out early
-    on that bound. The package's policies score -log(n) (uniform) or
-    normalise their logits with `policy._log_normaliser`, which refuses a
-    non-finite logit; a score is then finite unless two logits lie so far
-    apart that it rounds to -inf.
+    on that bound. The package's policies normalise their logits with
+    `policy._log_normaliser`, which refuses a non-finite logit; a score is
+    then finite unless two logits lie so far apart that it rounds to -inf.
 
     A policy's scores must not change while the object lives: a
     `RolloutTree` keeps the mixture each node was drawn from for the
@@ -466,7 +465,8 @@ class RolloutTree:
     generation, and each node is scored again on its next visit. A
     policy's scores must therefore not change while the object lives.
 
-    A tree is bound to one task, one registry and one sampler config.
+    The tree supplies `sample_plan` with the task, the registry and the
+    sampler config it was built for.
     """
 
     def __init__(self, task: TaskSpec, registry: ToolRegistry, cfg: SamplerConfig) -> None:
@@ -483,25 +483,15 @@ SAMPLE_RETRIES = 50
 
 
 def sample_plan(
-    policy: Policy,
-    task: TaskSpec,
-    registry: ToolRegistry,
-    cfg: SamplerConfig,
-    rng: random.Random,
-    epsilon: float = 0.0,
-    tree: RolloutTree | None = None,
+    policy: Policy, tree: RolloutTree, rng: random.Random, epsilon: float = 0.0
 ) -> tuple[PlanGraph, list[ReplayStep]]:
     """Sample one plan and its episode's steps (its `replay_steps`); dead ends are retried.
 
-    The walk runs through `tree`, a fresh one if none is given; a caller
-    that samples a task many times passes the same tree to each call.
-    Each step draws one `rng.random()`, so a shared tree draws the same
-    plans as fresh ones.
+    The walk runs through `tree`, which supplies the task, the registry
+    and the sampler config; a caller that samples a task many times
+    passes the same tree to each call. Each step draws one
+    `rng.random()`, so a shared tree draws the same plans as fresh ones.
     """
-    if tree is None:
-        tree = RolloutTree(task, registry, cfg)
-    elif tree.task is not task or tree.registry is not registry or tree.cfg != cfg:
-        raise ValueError("the rollout tree belongs to another task, registry or sampler config")
     if policy is not tree.policy or epsilon != tree.epsilon:
         tree.policy, tree.epsilon = policy, epsilon
         tree.generation += 1
@@ -514,19 +504,19 @@ def sample_plan(
                 break
             if node.generation != generation:
                 scores = policy.score_step(frontier.context, frontier.actions, node.state)
-                node.mixture = _filtered_distribution(scores, frontier.actions, cfg, epsilon)
+                node.mixture = _filtered_distribution(scores, frontier.actions, tree.cfg, epsilon)
                 node.generation = generation
             token = _draw(node.mixture, rng)
             edge = node.children.get(token)
             if edge is None:
                 step = ReplayStep(frontier.context, frontier.uncapped, token)
-                child = _Node(apply_action(node.state, frontier, token, registry), tree)
+                child = _Node(apply_action(node.state, frontier, token, tree.registry), tree)
                 edge = node.children[token] = (step, child)
             steps.append(edge[0])
             node = edge[1]
         if node.state.done:
             return to_plan(node.state), steps
-    raise NoFeasiblePlan(f"sampling kept dead-ending on {task.id}")
+    raise NoFeasiblePlan(f"sampling kept dead-ending on {tree.task.id}")
 
 
 def _map_ref(ref: InputRef, id_map: dict[int, int]) -> InputRef | None:

@@ -409,7 +409,8 @@ def task_from_json(doc: dict) -> TaskSpec:
     since the oracle and every score read its samples. So is one with
     other than one or two inputs, or with corruption chains or sample
     inputs that do not match its input signature, since the decoder and
-    the oracle walk one branch per input."""
+    the oracle walk one branch per input, or with a sample reference of
+    another modality than its output, which no plan can score above 0."""
     with reading("task"):
         if not doc["dataset"]:
             raise ValueError("dataset is empty")
@@ -434,4 +435,6 @@ def task_from_json(doc: dict) -> TaskSpec:
         for sample in task.dataset:
             if tuple(p.modality for p in sample.inputs) != task.input_signature:
                 raise ValueError("sample inputs do not match input_signature")
+            if sample.reference.modality is not task.output_modality:
+                raise ValueError("sample reference does not match output_modality")
         return task

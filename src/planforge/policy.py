@@ -245,16 +245,6 @@ class TabularPolicy:
         return scores
 
 
-class UniformPolicy:
-    def score_step(
-        self, ctx: Context, actions: Sequence[str], state: BeamState
-    ) -> dict[str, float]:
-        if not actions:
-            raise EmptyAllowedSet("no tokens to score")
-        lp = -math.log(len(actions))
-        return {a: lp for a in actions}
-
-
 # The logit GuidedPlanPolicy gives the target's next action; all others get 0.
 _GUIDE_LOGIT = 20.0
 

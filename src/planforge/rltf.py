@@ -161,9 +161,7 @@ def train(
             policy = TabularPolicy(current)
             for _ in range(cfg.rollouts_per_task):
                 try:
-                    plan, steps = sample_plan(
-                        policy, task, registry, cfg.sampling, rng, epsilon, tree
-                    )
+                    plan, steps = sample_plan(policy, tree, rng, epsilon)
                 except NoFeasiblePlan:
                     continue
                 if plan not in memo:

@@ -29,6 +29,7 @@ from planforge.benchgen import (
 from planforge.context import END_TOKEN
 from planforge.decoder import (
     DecoderConfig,
+    RolloutTree,
     SamplerConfig,
     allowed_tokens,
     apply_action,
@@ -46,7 +47,6 @@ from planforge.policy import (
     GuidedPlanPolicy,
     PolicyParams,
     TabularPolicy,
-    UniformPolicy,
     grad_log_prob,
     log_prob,
     score_tokens,
@@ -132,7 +132,8 @@ def test_criterion_1_decoder_soundness(catalog, registry) -> None:
             if i % 2 == 0:
                 plans = [dp.plan for dp in beam_search(policy, task, registry, cfg)]
             else:
-                plans = [sample_plan(policy, task, registry, sampler, random.Random(i))[0]]
+                tree = RolloutTree(task, registry, sampler)
+                plans = [sample_plan(policy, tree, random.Random(i))[0]]
         except NoFeasiblePlan:
             dead += 1
             continue
@@ -415,7 +416,7 @@ def test_criterion_11_executor_determinism(catalog, registry) -> None:
     doubles = [t for t in catalog if len(t.input_signature) == 2][:20]
     diffs = 0
     for task in doubles:
-        plan = next(beam_search(UniformPolicy(), task, registry, DecoderConfig())).plan
+        plan = next(beam_search(TabularPolicy(PolicyParams()), task, registry, DecoderConfig())).plan
         assert is_nonlinear(plan)
         baseline = [
             (payload_to_json(execute(plan, s.inputs, registry).final), similarity(execute(plan, s.inputs, registry).final, s.reference))

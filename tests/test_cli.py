@@ -283,6 +283,12 @@ def _text_ii_input(catalog: list) -> list:
     return catalog
 
 
+def _text_ii_reference(catalog: list) -> list:
+    text = {"corruptions": [], "expr": "x0", "language": "en", "modality": "Text", "quality": 1.0}
+    _task(catalog, "ii-000")["dataset"][0]["reference"] = text
+    return catalog
+
+
 def _duplicate_task_id(catalog: list) -> list:
     return catalog + [_task(catalog, "ii-000")]
 
@@ -350,6 +356,8 @@ MALFORMED_DOCUMENTS = [
     ("parse", "registry", "registry", [{"name": "<end>", "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
     ("parse", "registry", "registry", [{"name": "*", "inputs": ["Text"], "output": "Text", "semantic": "RemoveMask"}]),
     ("eval", "--catalog", "task", lambda catalog: _with_quality(catalog, True)),
+    ("eval", "--catalog", "task", _text_ii_reference),
+    ("oracle", "--catalog", "task", _text_ii_reference),
 ]
 
 

@@ -51,7 +51,6 @@ from planforge.policy import (
     GuidedPlanPolicy,
     PolicyParams,
     TabularPolicy,
-    UniformPolicy,
     score_tokens,
 )
 from planforge.registry import ToolRegistry, ToolSpec, default_registry
@@ -122,7 +121,8 @@ def test_decoder_states_refuse_field_assignment() -> None:
 def test_uniform_beam_enumerates_every_ordering() -> None:
     """30 beams cover the whole 3-tool space: 15 plans, all validated."""
     task = _mini_task()
-    results = list(beam_search(UniformPolicy(), task, MINI, DecoderConfig(beam_size=30)))
+    policy = TabularPolicy(PolicyParams())
+    results = list(beam_search(policy, task, MINI, DecoderConfig(beam_size=30)))
     sequences = {tuple(n.tool for n in dp.plan.nodes) for dp in results}
     assert len(results) == 15
     names = ("Colorization", "Image Deblurring", "Image Denoising")
@@ -138,7 +138,8 @@ def test_uniform_beam_enumerates_every_ordering() -> None:
 
 def test_uniform_beam_log_probs_are_exact() -> None:
     task = _mini_task()
-    results = list(beam_search(UniformPolicy(), task, MINI, DecoderConfig(beam_size=30)))
+    policy = TabularPolicy(PolicyParams())
+    results = list(beam_search(policy, task, MINI, DecoderConfig(beam_size=30)))
     # One tool: 1/3 for the tool, then 1/3 against two tools plus end.
     # Two tools: extra 1/3, then end against one leftover tool.
     # Three tools: the final end is forced, so same mass as two tools.
@@ -150,18 +151,16 @@ def test_uniform_beam_log_probs_are_exact() -> None:
 def test_greedy_beam_is_deterministic() -> None:
     task = _mini_task()
     cfg = DecoderConfig(beam_size=7)
-    first = [plan_hash(dp.plan) for dp in beam_search(UniformPolicy(), task, MINI, cfg)]
-    second = [plan_hash(dp.plan) for dp in beam_search(UniformPolicy(), task, MINI, cfg)]
+    policy = TabularPolicy(PolicyParams())
+    first = [plan_hash(dp.plan) for dp in beam_search(policy, task, MINI, cfg)]
+    second = [plan_hash(dp.plan) for dp in beam_search(policy, task, MINI, cfg)]
     assert first == second
 
 
 def test_max_tools_per_branch_caps_plan_length() -> None:
     task = _mini_task()
-    results = list(
-        beam_search(
-            UniformPolicy(), task, MINI, DecoderConfig(beam_size=30, max_tools_per_branch=2)
-        )
-    )
+    cfg = DecoderConfig(beam_size=30, max_tools_per_branch=2)
+    results = list(beam_search(TabularPolicy(PolicyParams()), task, MINI, cfg))
     assert {len(dp.plan.nodes) for dp in results} == {1, 2}
 
 
@@ -220,8 +219,8 @@ def test_guided_beam_recovers_nonlinear_gold(catalog, registry) -> None:
 def test_decode_dispatches_on_input_count(catalog, registry) -> None:
     single = next(t for t in catalog if len(t.input_signature) == 1)
     double = next(t for t in catalog if len(t.input_signature) == 2)
-    assert list(beam_search(UniformPolicy(), single, registry, DecoderConfig()))
-    assert list(beam_search(UniformPolicy(), double, registry, DecoderConfig()))
+    assert list(beam_search(TabularPolicy(PolicyParams()), single, registry, DecoderConfig()))
+    assert list(beam_search(TabularPolicy(PolicyParams()), double, registry, DecoderConfig()))
     triple = TaskSpec(
         id="bad",
         description="three inputs",
@@ -234,12 +233,12 @@ def test_decode_dispatches_on_input_count(catalog, registry) -> None:
         dataset=(),
     )
     with pytest.raises(ValueError):
-        next(beam_search(UniformPolicy(), triple, registry, DecoderConfig()))
+        next(beam_search(TabularPolicy(PolicyParams()), triple, registry, DecoderConfig()))
 
 
 def test_replay_reproduces_decoded_plan(catalog, registry) -> None:
     for task in list(catalog)[:3] + [next(t for t in catalog if len(t.input_signature) == 2)]:
-        top = next(beam_search(UniformPolicy(), task, registry, DecoderConfig()))
+        top = next(beam_search(TabularPolicy(PolicyParams()), task, registry, DecoderConfig()))
         steps = replay_steps(top.plan, task, registry)
         state = initial_state(task)
         for step in steps:
@@ -264,17 +263,21 @@ def test_stochastic_top1_is_seed_independent(catalog, registry) -> None:
     cfg = SamplerConfig(top_k=1)
     policy = TabularPolicy(PolicyParams())
     for task in list(catalog)[:5]:
-        a, _ = sample_plan(policy, task, registry, cfg, random.Random(1))
-        b, _ = sample_plan(policy, task, registry, cfg, random.Random(99))
+        a, _ = sample_plan(policy, RolloutTree(task, registry, cfg), random.Random(1))
+        b, _ = sample_plan(policy, RolloutTree(task, registry, cfg), random.Random(99))
         assert plan_hash(a) == plan_hash(b)
 
 
 def test_stochastic_sampling_is_reproducible(catalog, registry) -> None:
     cfg = SamplerConfig()
-    policy = UniformPolicy()
+    policy = TabularPolicy(PolicyParams())
     task = list(catalog)[0]
-    a = [plan_hash(sample_plan(policy, task, registry, cfg, random.Random(7))[0]) for _ in range(3)]
-    b = [plan_hash(sample_plan(policy, task, registry, cfg, random.Random(7))[0]) for _ in range(3)]
+
+    def sampled_hash() -> str:
+        return plan_hash(sample_plan(policy, RolloutTree(task, registry, cfg), random.Random(7))[0])
+
+    a = [sampled_hash() for _ in range(3)]
+    b = [sampled_hash() for _ in range(3)]
     assert a == b
 
 
@@ -287,7 +290,7 @@ def test_infeasible_task_raises() -> None:
         "ti-x", TaskCategory.TEXT_TO_IMAGE, ((),), (SemanticId.GENERATE,), samples_per_task=1
     )
     with pytest.raises(NoFeasiblePlan):
-        next(beam_search(UniformPolicy(), task, lonely, DecoderConfig()))
+        next(beam_search(TabularPolicy(PolicyParams()), task, lonely, DecoderConfig()))
 
 
 def _reference_beam(policy, task, registry, cfg) -> list[tuple[str, float]]:
@@ -348,7 +351,7 @@ _SPACES = {category: category_space(category, CatalogConfig()) for category in T
 
 def _case_policy(table_seed: int | None):
     if table_seed is None:
-        return UniformPolicy()
+        return TabularPolicy(PolicyParams())
     return TabularPolicy(_RandomTable(table_seed))
 
 
@@ -403,9 +406,9 @@ def test_policy_step_scores_are_at_most_zero_or_refused(case) -> None:
     task = build_task("x-000", category, chains, builder, samples_per_task=1)
     cfg = DecoderConfig(beam_size=beam_size)
     seed = table_seed or 0
-    policies = [UniformPolicy(), TabularPolicy(_RandomTable(seed))]
+    policies = [TabularPolicy(PolicyParams()), TabularPolicy(_RandomTable(seed))]
     with contextlib.suppress(NoFeasiblePlan):
-        target = next(beam_search(UniformPolicy(), task, _REGISTRY, cfg)).plan
+        target = next(beam_search(TabularPolicy(PolicyParams()), task, _REGISTRY, cfg)).plan
         policies.append(GuidedPlanPolicy(target, _REGISTRY))
     overflowing = TabularPolicy(_OverflowingTable(seed))
     live = [initial_state(task)]
@@ -462,10 +465,10 @@ def test_first_plan_walks_fewer_steps_than_the_full_ranking(catalog, registry, m
 
     monkeypatch.setattr(decoder_module, "step_frontier", counted)
     task = list(catalog)[0]
-    list(beam_search(UniformPolicy(), task, registry, DecoderConfig()))
+    list(beam_search(TabularPolicy(PolicyParams()), task, registry, DecoderConfig()))
     full = len(calls)
     calls.clear()
-    next(beam_search(UniformPolicy(), task, registry, DecoderConfig()))
+    next(beam_search(TabularPolicy(PolicyParams()), task, registry, DecoderConfig()))
     assert 0 < len(calls) < full
 
 
@@ -549,7 +552,7 @@ def test_beam_golden_top_plans() -> None:
     for task in catalog:
         for beam_size in (4, 30):
             cfg = DecoderConfig(beam_size=beam_size)
-            results = list(beam_search(UniformPolicy(), task, _REGISTRY, cfg))
+            results = list(beam_search(TabularPolicy(PolicyParams()), task, _REGISTRY, cfg))
             rows.append(
                 (task.id, beam_size, len(results), [plan_hash(dp.plan)[:12] for dp in results[:3]])
             )
@@ -586,7 +589,8 @@ def test_sampled_plans_replay_to_themselves(case) -> None:
     policy = _case_policy(table_seed)
     cfg = SamplerConfig(max_tools_per_branch=max_tools)
     try:
-        plan, recorded = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
+        tree = RolloutTree(task, _REGISTRY, cfg)
+        plan, recorded = sample_plan(policy, tree, random.Random(rng_seed), epsilon)
     except NoFeasiblePlan:
         return
     steps = replay_steps(plan, task, _REGISTRY)
@@ -624,7 +628,8 @@ def test_beam_and_sampler_return_only_valid_plans(beam_case, sample_case) -> Non
     policy = _case_policy(table_seed)
     cfg = SamplerConfig(max_tools_per_branch=max_tools)
     with contextlib.suppress(NoFeasiblePlan):
-        plan, _ = sample_plan(policy, task, _REGISTRY, cfg, random.Random(rng_seed), epsilon)
+        tree = RolloutTree(task, _REGISTRY, cfg)
+        plan, _ = sample_plan(policy, tree, random.Random(rng_seed), epsilon)
         found.append((task, plan))
 
     for task, plan in found:
@@ -759,7 +764,8 @@ def test_score_memo_changes_no_decode(beam_case, sample_case) -> None:
         plans = []
         for _ in range(3):
             try:
-                plans.append(sample_plan(policy, task, _REGISTRY, cfg, rng, epsilon))
+                tree = RolloutTree(task, _REGISTRY, cfg)
+                plans.append(sample_plan(policy, tree, rng, epsilon))
             except NoFeasiblePlan:
                 plans.append(None)
         outcomes.append(plans)
@@ -890,15 +896,16 @@ def test_a_shared_rollout_tree_samples_as_fresh_walks(case) -> None:
         patch.setattr(decoder_module, "step_frontier", counting_frontier)
         tree = RolloutTree(task, registry, cfg)
         rng = random.Random(rng_seed)
-        shared = _rollouts(
-            lambda: sample_plan(policy, task, registry, cfg, rng, epsilon, tree), rollouts
-        )
+        shared = _rollouts(lambda: sample_plan(policy, tree, rng, epsilon), rollouts)
         results.append((shared, rng.getstate()))
     assert paths and len(paths) == len(set(paths))
 
-    for sample in (sample_plan, _reference_sample):
+    for fresh_walk in (
+        lambda rng: sample_plan(policy, RolloutTree(task, registry, cfg), rng, epsilon),
+        lambda rng: _reference_sample(policy, task, registry, cfg, rng, epsilon),
+    ):
         rng = random.Random(rng_seed)
-        fresh = _rollouts(lambda: sample(policy, task, registry, cfg, rng, epsilon), rollouts)
+        fresh = _rollouts(lambda: fresh_walk(rng), rollouts)
         results.append((fresh, rng.getstate()))
     assert results[0] == results[1] == results[2]
 
@@ -936,13 +943,12 @@ def test_a_rollout_tree_scores_again_for_a_new_policy_or_epsilon(
     shared_rng, fresh_rng = random.Random(rng_seed), random.Random(rng_seed)
     for policy, eps in phases:
         policy.scored.clear()
-        shared = _rollouts(
-            lambda: sample_plan(policy, task, registry, cfg, shared_rng, eps, tree), rollouts
-        )
+        shared = _rollouts(lambda: sample_plan(policy, tree, shared_rng, eps), rollouts)
         scored = set(policy.scored)
         assert len(scored) == len(policy.scored)
         fresh = _rollouts(
-            lambda: sample_plan(policy.inner, task, registry, cfg, fresh_rng, eps), rollouts
+            lambda: sample_plan(policy.inner, RolloutTree(task, registry, cfg), fresh_rng, eps),
+            rollouts,
         )
         assert shared == fresh
         assert shared_rng.getstate() == fresh_rng.getstate()
@@ -951,21 +957,3 @@ def test_a_rollout_tree_scores_again_for_a_new_policy_or_epsilon(
                 chosen = tuple(step.chosen for step in result[1])
                 assert {chosen[:i] for i in range(len(chosen))} <= scored
 
-
-def test_a_rollout_tree_refuses_another_task_registry_or_config() -> None:
-    cfg = SamplerConfig(max_tools_per_branch=1)
-    tree = RolloutTree(_CAPTION_TASK, _DEAD_ENDS, cfg)
-    policy = UniformPolicy()
-    other_task = build_task(
-        "it-001", TaskCategory.IMAGE_TO_TEXT, ((C.BLUR,),), (S.CAPTION,), samples_per_task=1
-    )
-    for task, registry, sampling in (
-        (other_task, _DEAD_ENDS, cfg),
-        (_CAPTION_TASK, _REGISTRY, cfg),
-        (_CAPTION_TASK, _DEAD_ENDS, SamplerConfig(max_tools_per_branch=2)),
-    ):
-        with pytest.raises(ValueError, match="rollout tree"):
-            sample_plan(policy, task, registry, sampling, random.Random(0), 0.1, tree)
-    # An equal config is the same config.
-    equal = SamplerConfig(max_tools_per_branch=1)
-    sample_plan(policy, _CAPTION_TASK, _DEAD_ENDS, equal, random.Random(0), 0.1, tree)

@@ -16,7 +16,7 @@ from planforge.evalkit import (
 )
 from planforge.executor import execute_task
 from planforge.plan_ir import MetricSlot, TaskCategory
-from planforge.policy import UniformPolicy
+from planforge.policy import PolicyParams, TabularPolicy
 from planforge.simkit import Modality, SemanticId
 
 I = Modality.IMAGE
@@ -52,7 +52,7 @@ def test_evaluate_aggregates_slot_means(catalog, registry) -> None:
         next(t for t in catalog if t.metric_slot is MetricSlot.CLIP),
         next(t for t in catalog if t.metric_slot is MetricSlot.BERT),
     ]
-    table = evaluate(UniformPolicy(), tasks, registry, DecoderConfig())
+    table = evaluate(TabularPolicy(PolicyParams()), tasks, registry, DecoderConfig())
     assert len(table.per_task) == len(tasks)
     rewards = dict(table.per_task)
     by_slot = {slot: [] for slot in MetricSlot}

@@ -37,7 +37,6 @@ from planforge.policy import (
     PolicyParams,
     RemotePolicy,
     TabularPolicy,
-    UniformPolicy,
     apply_gradient,
     compile_episode,
     grad_log_prob,
@@ -67,7 +66,7 @@ def test_score_tokens_is_log_softmax() -> None:
 def test_log_prob_matches_uniform_replay(catalog, registry) -> None:
     params = PolicyParams()
     for task in list(catalog)[:4]:
-        top = next(beam_search(UniformPolicy(), task, registry, DecoderConfig()))
+        top = next(beam_search(TabularPolicy(PolicyParams()), task, registry, DecoderConfig()))
         lp = log_prob(params, top.plan, task, registry)
         steps = replay_steps(top.plan, task, registry)
         assert math.isclose(lp, sum(-math.log(len(s.actions)) for s in steps))
@@ -88,7 +87,7 @@ def test_grad_matches_finite_differences(catalog, registry) -> None:
     h = 1e-5
     tasks = list(catalog)[:3] + [next(t for t in catalog if len(t.input_signature) == 2)]
     for task in tasks:
-        plan = next(beam_search(UniformPolicy(), task, registry, DecoderConfig())).plan
+        plan = next(beam_search(TabularPolicy(PolicyParams()), task, registry, DecoderConfig())).plan
         for _ in range(3):
             params = _random_params_for(plan, task, registry, rng)
             grad = grad_log_prob(params, plan, task, registry)
@@ -108,7 +107,7 @@ def test_grad_matches_finite_differences(catalog, registry) -> None:
 def test_step_gradients_sum_to_zero(catalog, registry) -> None:
     rng = random.Random(5)
     task = list(catalog)[0]
-    plan = next(beam_search(UniformPolicy(), task, registry, DecoderConfig())).plan
+    plan = next(beam_search(TabularPolicy(PolicyParams()), task, registry, DecoderConfig())).plan
     params = _random_params_for(plan, task, registry, rng)
     for step in replay_steps(plan, task, registry):
         probs = score_tokens(params, step.context, step.actions)
@@ -121,7 +120,7 @@ def test_step_gradients_sum_to_zero(catalog, registry) -> None:
 def test_grad_aggregates_per_step_terms(catalog, registry) -> None:
     rng = random.Random(6)
     task = list(catalog)[1]
-    plan = next(beam_search(UniformPolicy(), task, registry, DecoderConfig())).plan
+    plan = next(beam_search(TabularPolicy(PolicyParams()), task, registry, DecoderConfig())).plan
     params = _random_params_for(plan, task, registry, rng)
     manual: dict = {}
     for step in replay_steps(plan, task, registry):
@@ -303,6 +302,24 @@ def test_checkpoint_bytes_do_not_depend_on_insertion_order(values, rng) -> None:
     doc = params_to_json(PolicyParams(values))
     assert json.dumps(params_to_json(PolicyParams(dict(items)))) == json.dumps(doc)
     assert params_to_json(params_from_json(json.loads(json.dumps(doc)))) == doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(Context, _FIELDS, _FIELDS, _FIELDS, _FIELDS),
+    st.lists(st.text(max_size=4), min_size=1, max_size=200, unique=True),
+)
+def test_the_empty_table_scores_every_action_minus_log_n(ctx, actions) -> None:
+    """The empty table is the uniform policy: every one of n actions
+    scores exactly -log(n), and the one action of a forced step 0.0."""
+    policy = TabularPolicy(PolicyParams())
+    scores = policy.score_step(ctx, actions, None)
+    n = len(actions)
+    expected = float.hex(-math.log(n)) if n >= 2 else float.hex(0.0)
+    assert list(scores) == actions
+    assert {float.hex(score) for score in scores.values()} == {expected}
+    with pytest.raises(EmptyAllowedSet):
+        policy.score_step(ctx, [], None)
 
 
 def test_guided_policy_argmax_is_the_target_step(catalog, registry) -> None:

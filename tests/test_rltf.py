@@ -13,7 +13,13 @@ import planforge.policy
 import planforge.rltf
 from planforge.benchgen import CatalogConfig, build_task, generate_catalog, oracle_best_plan
 from planforge.context import context_levels
-from planforge.decoder import DecoderConfig, expected_action, replay_steps, sample_plan
+from planforge.decoder import (
+    DecoderConfig,
+    RolloutTree,
+    expected_action,
+    replay_steps,
+    sample_plan,
+)
 from planforge.errors import NoFeasiblePlan
 from planforge.evalkit import task_reward
 from planforge.plan_ir import TaskCategory, from_linear_sequence, validate_plan
@@ -217,9 +223,8 @@ def _reference_train(params, tasks, registry, cfg):
             batch = []
             for _ in range(cfg.rollouts_per_task):
                 try:
-                    plan, _ = sample_plan(
-                        TabularPolicy(current), task, registry, cfg.sampling, rng, epsilon
-                    )
+                    tree = RolloutTree(task, registry, cfg.sampling)
+                    plan, _ = sample_plan(TabularPolicy(current), tree, rng, epsilon)
                 except NoFeasiblePlan:
                     continue
                 batch.append((task, plan, task_reward(plan, task, registry)))
@@ -329,10 +334,10 @@ def test_training_executes_each_distinct_episode_once_and_never_replays(
 
         return wrapper
 
-    def recording_sample(policy, task, *args):
-        plan, steps = sample_plan(policy, task, *args)
-        sampled.append((task.id, plan))
-        steps_of[task.id, plan] = steps
+    def recording_sample(policy, tree, *args):
+        plan, steps = sample_plan(policy, tree, *args)
+        sampled.append((tree.task.id, plan))
+        steps_of[tree.task.id, plan] = steps
         return plan, steps
 
     def counting_expected(*args):
