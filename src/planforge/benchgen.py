@@ -14,9 +14,10 @@ the plan data structures it shares only ``replay_steps`` with the decoder: with
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .decoder import ReplayStep, replay_steps
@@ -31,7 +32,7 @@ from .plan_ir import (
     TaskCategory,
     TaskInput,
     TaskSpec,
-    plan_to_json,
+    canonical_json,
     task_from_json,
 )
 from .registry import ToolRegistry, ToolSpec
@@ -481,38 +482,6 @@ class _DynamicsTable(dict):
         return entry
 
 
-class _ChainCount(dict):
-    """(modality, tools used per kind, tools left) -> how many duplicate-free
-    chains of at most that many single-input tools lead from the modality
-    to the target, the empty chain included. A tool's kind is its (input,
-    output) modality pair; tools of one kind are interchangeable in a chain."""
-
-    def __init__(self, arity1: list[ToolSpec], target: Modality) -> None:
-        super().__init__()
-        kinds = [(spec.inputs[0], spec.output) for spec in arity1]
-        distinct = list(dict.fromkeys(kinds))
-        self.kind_of = {spec.name: distinct.index(kind) for spec, kind in zip(arity1, kinds)}
-        self.kinds = [(*kind, kinds.count(kind)) for kind in distinct]
-        self.target = target
-
-    def count(self, modality: Modality, used, left: int) -> int:
-        """The count for chains that use none of the tool names ``used``."""
-        per_kind = [0] * len(self.kinds)
-        for name in used:
-            per_kind[self.kind_of[name]] += 1
-        return self[modality, tuple(per_kind), left]
-
-    def __missing__(self, key: tuple[Modality, tuple[int, ...], int]) -> int:
-        modality, used, left = key
-        count = int(modality is self.target)
-        for k, (source, output, size) in enumerate(self.kinds if left else ()):
-            if source is modality and used[k] < size:
-                grown = used[:k] + (used[k] + 1,) + used[k + 1:]
-                count += (size - used[k]) * self[output, grown, left - 1]
-        self[key] = count
-        return count
-
-
 def _enumerate_chains(
     arity1: list[ToolSpec],
     start_modality: Modality,
@@ -570,6 +539,47 @@ def _enumerate_chains(
     return found
 
 
+def _family_size(registry: ToolRegistry, task: TaskSpec, max_depth: int) -> int:
+    """How many candidates `oracle_best_plan` has for the task: a count
+    over the registry's tool kinds that reads no payload, since chains
+    that raise are candidates too.
+
+    A kind is a single-input tool's (input, output) modality pair, and
+    tools of one kind are interchangeable in a chain. A candidate is a
+    run of legs, each a chain of at most ``max_depth`` tools: one from a
+    one-input task's input to its target, the empty chain left out; for
+    a two-input task, per input order and join, a chain on the first
+    input onto the join's slot 0, one on the second onto its slot 1, and
+    a tail from the join's output to the target. No tool occurs twice.
+    """
+    arity1 = (spec for spec in registry if len(spec.inputs) == 1)
+    kinds = list(Counter((spec.inputs[0], spec.output) for spec in arity1).items())
+
+    @functools.cache
+    def chains(modality: Modality, end: Modality, legs: tuple, used: tuple, left: int) -> int:
+        """Chains of at most ``left`` more tools from the modality onto
+        ``end``, each followed by the (start, end) ``legs`` in turn, with
+        ``used[k]`` of kind k's tools already taken."""
+        count = 0
+        if modality is end:
+            count = chains(*legs[0], legs[1:], used, max_depth) if legs else 1
+        for k, ((source, output), size) in enumerate(kinds if left else ()):
+            if source is modality and used[k] < size:
+                grown = used[:k] + (used[k] + 1,) + used[k + 1 :]
+                count += (size - used[k]) * chains(output, end, legs, grown, left - 1)
+        return count
+
+    inputs, target, unused = task.input_signature, task.output_modality, (0,) * len(kinds)
+    if len(inputs) == 1:
+        return chains(inputs[0], target, (), unused, max_depth) - int(inputs[0] is target)
+    total = 0
+    for (a, b), join in itertools.product(((0, 1), (1, 0)), registry):
+        if len(join.inputs) == 2:
+            legs = ((inputs[b], join.inputs[1]), (join.output, target))
+            total += chains(inputs[a], join.inputs[0], legs, unused, max_depth)
+    return total
+
+
 def oracle_best_plan(
     task: TaskSpec,
     registry: ToolRegistry,
@@ -587,11 +597,11 @@ def oracle_best_plan(
     up to max_depth that ends on the target and shares no tool with the
     head. A candidate has at least one tool and is scored on the task's
     first sample. Ties on score break toward fewer tools, then toward the
-    lexicographically smallest plan document (``json.dumps`` of
-    ``plan_to_json`` with sorted keys). With ``replayable_only``, a
-    candidate that would become the best is kept only if the decoder can
-    replay it, and ``best_steps`` is that replay of the winner; without
-    it, ``best_steps`` is None.
+    lexicographically smallest plan document (`canonical_json`). With
+    ``replayable_only``, a candidate that would become the best is kept
+    only if the decoder can replay it, and ``best_steps`` is that replay of
+    the winner; without it, ``best_steps`` is None. ``plans_examined`` is
+    the size of the family, counted from tool kinds (see `_family_size`).
 
     The search never builds a payload. Chains walk a tool-dynamics table
     local to the call (see `_DynamicsTable`), so each tool runs once per
@@ -604,9 +614,8 @@ def oracle_best_plan(
     integers `structure_similarity` divides, so `chain_similarity` of a
     candidate's terms is the float `similarity` gives its output.
 
-    Only candidates that can still win or tie are scored; the others are
-    counted (see `_ChainCount`), so ``plans_examined`` counts the whole
-    family. A candidate scores ``content * (scale_quality(q, factors) *
+    Only candidates that can still win or tie are scored; bounds skip the
+    others. A candidate scores ``content * (scale_quality(q, factors) *
     gamma ** r)`` with every term in [0, 1], and a float multiplied by a
     value in [0, 1] never rounds above itself. So nothing scores above
     the quality of a chain it extends, and a join of factor ``f`` of two
@@ -616,11 +625,11 @@ def oracle_best_plan(
 
     - one-input chains are walked depth first in `_enumerate_chains`
       order, with the running product ``quality * factor`` as quality;
-      a chain that cannot win or tie is counted with its extensions;
+      a chain that cannot win or tie is skipped with its extensions;
     - a head row, one chain, one join and one (modality, shape) group of
-      the other input's chains, is counted when ``(q0 * q1max) * f``
+      the other input's chains, is skipped when ``(q0 * q1max) * f``
       (0.0 if the join raises) is below the best score;
-    - a two-input head that cannot win or tie has its tails counted.
+    - a two-input head that cannot win or tie has its tails skipped.
 
     Under ``replayable_only`` the best score is the best replayable one,
     so nothing that could be kept is skipped. The winner is the argmin of
@@ -645,14 +654,11 @@ def oracle_best_plan(
     # (head output modality, head shape) -> that key; (names, name set,
     # factors, index into the ops list, language term, residuals) of each
     # tail that ends on the target, factors None if it raises; the ops
-    # list, each distinct tail ops tuple once; the union of the tool sets
+    # list, each distinct tail ops tuple once
     tail_memo: dict[tuple, tuple] = {}
     # (that key, the head's ops) -> structure term of each distinct tail
     # ops tuple on that head
     struct_memo: dict[tuple, list[float]] = {}
-    chains = _ChainCount(arity1, target)
-    row_memo: dict[tuple, int] = {}
-    examined = 0
     # Every score is >= 0, so the first candidate always becomes the best.
     best_score, best_len = -1.0, 0
     best_plan: PlanGraph | None = None
@@ -680,8 +686,7 @@ def oracle_best_plan(
                     language_term(out[1], reference.language, constants),
                     len(out[2]),
                 ))
-            tools = frozenset().union(*(tail[1] for tail in tails))
-            found = tail_memo[key] = key, tails, list(index), tools
+            found = tail_memo[key] = key, tails, list(index)
         return found
 
     def offer(value, n_nodes, heads, join, tail) -> None:
@@ -690,9 +695,9 @@ def oracle_best_plan(
         plan = _plan(heads, join, tail)
         doc = None
         if value == best_score and n_nodes == best_len:
-            doc = json.dumps(plan_to_json(plan), sort_keys=True)
+            doc = canonical_json(plan)
             if best_doc is None:
-                best_doc = json.dumps(plan_to_json(best_plan), sort_keys=True)
+                best_doc = canonical_json(best_plan)
             if doc >= best_doc:
                 return
         steps = None
@@ -707,11 +712,9 @@ def oracle_best_plan(
         """Every candidate of a two-input head: its tails from `tails_from`,
         quality, ops (None if its join raises), chain tools, node count, and
         the `_plan` heads and join that build it."""
-        nonlocal examined
         if quality < best_score or (quality == best_score and head_len > best_len):
-            examined += chains.count(found[0][0], used, max_depth)
             return
-        key, tails, distinct_ops, _ = found
+        key, tails, distinct_ops = found
         structs = ()
         if ops is not None:
             structs = struct_memo.get((key, ops))
@@ -723,7 +726,6 @@ def oracle_best_plan(
         for tail, tail_set, factors, k, w_lang, residuals in tails:
             if not used.isdisjoint(tail_set):
                 continue
-            examined += 1
             n_nodes = head_len + len(tail)
             value = 0.0 if factors is None else chain_similarity(
                 structs[k] * w_lang, quality, factors, residuals, constants
@@ -733,8 +735,7 @@ def oracle_best_plan(
 
     def walk(names, modality: Modality, shape: Shape | None, countdown, quality: float) -> None:
         """Score each child of a one-input chain, in `_enumerate_chains`
-        order, then walk it; count it instead if it is below the bound."""
-        nonlocal examined
+        order, then walk it; skip it if it is below the bound."""
         if len(names) == max_depth:
             return
         last = len(names) + 1 == max_depth
@@ -748,11 +749,9 @@ def oracle_best_plan(
             nxt, factor, op = (None, 0.0, None) if entry is None else entry
             bound = quality * factor
             if bound < best_score or (bound == best_score and n_nodes > best_len):
-                examined += chains.count(spec.output, grown, max_depth - n_nodes)
                 continue
             grown_countdown = countdown if op is None else count_down(countdown, (op,))
             if spec.output is target:
-                examined += 1
                 value = 0.0
                 if nxt is not None:
                     w_lang = language_term(nxt[1], reference.language, constants)
@@ -789,21 +788,9 @@ def oracle_best_plan(
                     if shape0 is not None and shape1 is not None:
                         entry = table[join.semantic, (shape0, shape1)]
                     found = tails_from(join.output, None if entry is None else entry[0])
-                    # A row's count reads only its tools that these chains or tails use.
-                    relevant = found[3].union(*(h[1] for h in heads1))
                     q1max = max(h[3] for h in heads1)
                     for chain0, set0, ops0, q0 in heads0:
                         if (0.0 if entry is None else (q0 * q1max) * entry[1]) < best_score:
-                            clash = set0 & relevant
-                            row = (join.output, b, mod1, shape1, clash)
-                            count = row_memo.get(row)
-                            if count is None:
-                                count = row_memo[row] = sum(
-                                    chains.count(join.output, clash | set1, max_depth)
-                                    for _, set1, _, _ in heads1
-                                    if clash.isdisjoint(set1)
-                                )
-                            examined += count
                             continue
                         for chain1, set1, ops1, q1 in heads1:
                             if not set0.isdisjoint(set1):
@@ -817,6 +804,7 @@ def oracle_best_plan(
     if best_plan is None:
         raise NoFeasiblePlan(f"no plan reaches {target.value} for {task.id}")
     reward = task_reward(best_plan, task, registry, constants)
+    examined = _family_size(registry, task, max_depth)
     return OracleResult(
         best_plan=best_plan, best_reward=reward, plans_examined=examined, best_steps=best_steps
     )

@@ -122,21 +122,27 @@ def _ref_canon(ref: InputRef) -> str:
     return f'{{"node":{ref.node}}}'
 
 
-def plan_hash(plan: PlanGraph) -> str:
-    """SHA-256 of the plan's canonical JSON: `plan_to_json` with sorted keys
-    and no spaces, ``{"nodes":[{"id":..,"inputs":[..],"tool":..}],"output":..}``.
+def canonical_json(plan: PlanGraph) -> str:
+    """The plan's canonical JSON: `plan_to_json` with sorted keys and no
+    spaces, ``{"nodes":[{"id":..,"inputs":[..],"tool":..}],"output":..}``.
 
     The string is formatted directly rather than through `json.dumps` of
     the document. Ids are ints, and tool names go through the string
-    encoder `json.dumps` itself uses, so the bytes are the same.
+    encoder `json.dumps` itself uses, so the bytes are the same. Strings
+    order as `json.dumps` with sorted keys orders them: its spaces follow
+    only a structural ``,`` or ``:``, never the first differing character.
     """
     nodes = ",".join(
         f'{{"id":{node.id},"inputs":[{",".join(map(_ref_canon, node.input_refs))}],'
         f'"tool":{encode_basestring_ascii(node.tool)}}}'
         for node in plan.nodes
     )
-    canon = f'{{"nodes":[{nodes}],"output":{plan.output_node}}}'
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return f'{{"nodes":[{nodes}],"output":{plan.output_node}}}'
+
+
+def plan_hash(plan: PlanGraph) -> str:
+    """SHA-256 of the plan's `canonical_json`."""
+    return hashlib.sha256(canonical_json(plan).encode()).hexdigest()
 
 
 def from_linear_sequence(names: list[str] | tuple[str, ...], registry: ToolRegistry) -> PlanGraph:

@@ -518,6 +518,13 @@ def similarity(
     )
 
 
+# The deepest expr a document may hold, in nested parens (a bare leaf is
+# depth 0). The stock catalog's exprs nest 3 deep. A plan uses each tool
+# once, so its output nests at most one level per tool deeper, and the
+# recursive expr walkers stay far inside the recursion limit.
+MAX_EXPR_DEPTH = 64
+
+
 def serialize_expr(expr: Expr) -> str:
     if isinstance(expr, str):
         return expr
@@ -526,12 +533,14 @@ def serialize_expr(expr: Expr) -> str:
 
 
 def parse_expr(text: str) -> Expr:
+    """The expr the text spells; ValueError if it is malformed or nested
+    deeper than `MAX_EXPR_DEPTH`."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ValueError("empty expression")
     pos = 0
 
-    def walk() -> Expr:
+    def walk(depth: int) -> Expr:
         nonlocal pos
         token = tokens[pos]
         pos += 1
@@ -539,19 +548,21 @@ def parse_expr(text: str) -> Expr:
             raise ValueError("unexpected )")
         if token != "(":
             return token
+        if depth == MAX_EXPR_DEPTH:
+            raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH}")
         if pos >= len(tokens) or tokens[pos] in "()":
             raise ValueError("expected op after (")
         op = tokens[pos]
         pos += 1
         children = []
         while pos < len(tokens) and tokens[pos] != ")":
-            children.append(walk())
+            children.append(walk(depth + 1))
         if pos >= len(tokens):
             raise ValueError("unclosed (")
         pos += 1
         return (op, *children)
 
-    expr = walk()
+    expr = walk(0)
     if pos != len(tokens):
         raise ValueError("trailing tokens")
     return expr

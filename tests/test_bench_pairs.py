@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -118,3 +119,26 @@ def test_reward_is_read_on_every_run(monkeypatch) -> None:
     assert [run["reward_mean"] for run in report["runs"]["head"]] == [0.5] + [0.3] * 9
     assert report["verdict"]["reward_mean"] == "worse"
     assert report["gain"]["reward_mean"]["pairs_won"] == 0
+
+
+def test_the_bench_file_records_each_side_s_source_lines(monkeypatch, tmp_path) -> None:
+    """Each side's tree is exported, and its package modules' lines are
+    counted there: files outside src/planforge/*.py are not."""
+
+    def export(rev, into):
+        package = into / "src" / "planforge"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n" * (3 if rev == "r1" else 2))
+        (package / "b.py").write_text("y = 2\n")
+        (package / "sub" / "c.py").write_text("z = 3\n")
+        (package / "notes.txt").write_text("not code\n")
+        (into / "README.md").write_text("not code\n")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: {"BASE": "r1", "HEAD": "r2"}[args[-1]])
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "measure", lambda trees, workload, pairs, seconds: {})
+    assert bench_pairs.main(["BASE", "HEAD", "--label", "x", "--workload", "w"]) == 0
+    doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert doc["revisions"] == {"base": "r1", "head": "r2"}
+    assert doc["source_lines"] == {"base": 4, "head": 3}

@@ -55,11 +55,10 @@ from planforge.plan_ir import (
     topological_stages,
     validate_plan,
 )
-from planforge.registry import default_registry
+from planforge.registry import ToolRegistry, default_registry
 from planforge.simkit import (
     DEFAULT_CONSTANTS,
     Corruption,
-    Modality,
     SemanticId,
     SimConstants,
     apply_chain,
@@ -69,7 +68,6 @@ from planforge.simkit import (
 )
 
 C = Corruption
-M = Modality
 S = SemanticId
 
 SPACE_SIZES = {
@@ -571,15 +569,11 @@ def test_oracle_matches_naive_reference_at_tight_depth(case) -> None:
     assert result.best_reward == fmean(_naive_score(plan, s, _REGISTRY) for s in task.dataset)
 
 
-# The bounds the oracle skips candidates by, and the count it adds for
-# them. A candidate's score never exceeds the quality of a chain it
-# extends, nor (q0 * q1max) * f for a join of factor f of chains of
-# quality q0 and q1 <= q1max; a skipped chain and its extensions, or a
-# skipped head's tails, are counted by benchgen._ChainCount.
+# The bounds the oracle skips candidates by. A candidate's score never
+# exceeds the quality of a chain it extends, nor (q0 * q1max) * f for a
+# join of factor f of chains of quality q0 and q1 <= q1max.
 
 _UNARY = [spec for spec in _REGISTRY if len(spec.inputs) == 1]
-_COUNTS = {target: benchgen._ChainCount(_UNARY, target) for target in (M.IMAGE, M.TEXT)}
-_NAIVE_CHAINS = {modality: _naive_chains(_REGISTRY, modality, 5) for modality in (M.IMAGE, M.TEXT)}
 
 
 @st.composite
@@ -626,25 +620,26 @@ def test_quality_bounds_are_monotone_under_float_rounding(q0, a, b, f, factors, 
     assert scale_quality(q0, tuple(factors + more)) <= scale_quality(q0, tuple(factors))
 
 
-# Tool sets the count may meet: any set of single-input tools, and the
-# tools of a two-input head (a chain on each input).
-_TOOL_SETS = st.one_of(
-    st.frozensets(st.sampled_from([spec.name for spec in _UNARY])),
-    st.builds(
-        lambda image, text: frozenset(image[0] + text[0]),
-        st.sampled_from(_naive_chains(_REGISTRY, M.IMAGE, 2)),
-        st.sampled_from(_naive_chains(_REGISTRY, M.TEXT, 2)),
-    ),
-)
+# The family size the oracle reports, counted from tool kinds, against
+# the naive reference's candidates: on any sub-registry of the stock one,
+# so kinds have any size and joins may be missing.
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([M.IMAGE, M.TEXT]), st.sampled_from([M.IMAGE, M.TEXT]), st.integers(0, 5), _TOOL_SETS)
-@example(M.TEXT, M.TEXT, 2, frozenset({"Image Deblurring", "Image Captioning", "Fill Mask"}))
-@example(M.IMAGE, M.TEXT, 5, frozenset())
-def test_chain_count_matches_a_naive_count(modality, target, left, used) -> None:
-    naive = sum(
-        1 for names, end in _NAIVE_CHAINS[modality]
-        if len(names) <= left and end is target and used.isdisjoint(names)
-    )
-    assert _COUNTS[target].count(modality, used, left) == naive
+@st.composite
+def _family_cases(draw):
+    category = draw(st.sampled_from(list(TaskCategory)))
+    chains, builder = _SPACES[category][0]
+    task = build_task("x-000", category, chains, builder, 1)
+    keep = draw(st.lists(st.booleans(), min_size=len(_REGISTRY), max_size=len(_REGISTRY)))
+    registry = ToolRegistry(tuple(spec for spec, kept in zip(_REGISTRY, keep) if kept))
+    depth = draw(st.integers(0, 4 if len(task.input_signature) == 1 else 2))
+    return task, registry, depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(_family_cases())
+@example((build_task("x-000", TaskCategory.IMAGE_TO_TEXT, ((C.BLUR,),), (S.CAPTION,), 1), _REGISTRY, 4))
+@example((build_task("x-000", TaskCategory.IMAGE_TEXT_TO_TEXT, ((C.NOISE,), (C.MASK,)), (S.VQA,), 1), _REGISTRY, 2))
+def test_family_size_matches_a_naive_count(case) -> None:
+    task, registry, depth = case
+    assert benchgen._family_size(registry, task, depth) == len(list(_naive_candidates(task, registry, depth)))

@@ -25,6 +25,7 @@ from planforge.plan_ir import MetricSlot, Sample, TaskCategory, TaskSpec, task_t
 from planforge.registry import default_registry
 from planforge.simkit import (
     IMAGE_CORRUPTIONS,
+    MAX_EXPR_DEPTH,
     TEXT_CORRUPTIONS,
     Language,
     Modality,
@@ -117,7 +118,8 @@ def test_plan_prints_tool_arrows(ws, tmp_path, capsys) -> None:
     assert "log_prob" in plans["plans"]["ii-000"]
 
 
-def test_exec_runs_a_stored_plan(ws, tmp_path, capsys) -> None:
+def _oracle_plan_file(ws, tmp_path) -> str:
+    """Write ii-000's oracle plan to a file and return its path."""
     oracle_out = tmp_path / "o"
     main(
         ws["base"][:2]
@@ -126,14 +128,17 @@ def test_exec_runs_a_stored_plan(ws, tmp_path, capsys) -> None:
     plan_doc = json.loads((oracle_out / "oracle_plans.json").read_text())["plans"]["ii-000"]
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps(plan_doc))
+    return str(plan_file)
 
+
+def test_exec_runs_a_stored_plan(ws, tmp_path, capsys) -> None:
     exec_out = tmp_path / "exec"
     code = main(
         ws["base"][:2]
         + [
             "--out", str(exec_out),
             "exec", "--catalog", str(ws["catalog"]), "--task", "ii-000",
-            "--plan", str(plan_file),
+            "--plan", _oracle_plan_file(ws, tmp_path),
         ]
     )
     assert code == 0
@@ -293,6 +298,16 @@ def _duplicate_task_id(catalog: list) -> list:
     return catalog + [_task(catalog, "ii-000")]
 
 
+def _deep_exprs(depth: int):
+    """A function giving the catalog with each ii-000 sample's input expr
+    nested ``depth`` deep."""
+    def deepen(catalog: list) -> list:
+        for sample in _task(catalog, "ii-000")["dataset"]:
+            sample["inputs"][0]["expr"] = "(f " * depth + "x00000" + ")" * depth
+        return catalog
+    return deepen
+
+
 def _checkpoint(version=1, token="x", value=1.0, **context) -> dict:
     """A one-entry checkpoint that loads, with the given parts swapped in."""
     fields = {"task_category": "image_to_image", "prev_tool": "*", "branch_modality": "Image", "hint": "end"}
@@ -301,7 +316,8 @@ def _checkpoint(version=1, token="x", value=1.0, **context) -> dict:
 
 # (command, file the command reads, what the error names, document or a
 # function of the ws catalog document giving it). The registry file is
-# named by the config.
+# named by the config; exec runs ii-000's oracle plan unless the plan is
+# the document.
 MALFORMED_DOCUMENTS = [
     ("exec", "--plan", "plan", {"nodes": [{"id": "x", "tool": "Fill Mask"}], "output": 0}),
     ("exec", "--plan", "plan", {"nodes": "oops"}),
@@ -358,6 +374,9 @@ MALFORMED_DOCUMENTS = [
     ("eval", "--catalog", "task", lambda catalog: _with_quality(catalog, True)),
     ("eval", "--catalog", "task", _text_ii_reference),
     ("oracle", "--catalog", "task", _text_ii_reference),
+    ("exec", "--catalog", "task", _deep_exprs(500)),
+    ("oracle", "--catalog", "task", _deep_exprs(500)),
+    ("eval", "--catalog", "task", _deep_exprs(500)),
 ]
 
 
@@ -375,7 +394,7 @@ def test_malformed_document_is_a_one_line_error(ws, tmp_path, capsys, command, f
         files = {"--catalog": str(ws["catalog"]), flag: str(path)}
         argv = ws["base"][:2] + ["--out", str(tmp_path / "x"), command, "--task", "ii-000"]
         if command == "exec":
-            argv += ["--plan", files.pop("--plan")]
+            argv += ["--plan", files.pop("--plan", None) or _oracle_plan_file(ws, tmp_path)]
         for name, value in files.items():
             argv += [name, value]
     assert main(argv) == 1
@@ -385,6 +404,16 @@ def test_malformed_document_is_a_one_line_error(ws, tmp_path, capsys, command, f
     assert error["type"] == "MalformedDocument"
     assert error["message"].startswith(f"malformed {what}: ")
     assert not (tmp_path / "x").exists()
+
+
+def test_exec_runs_a_task_of_the_deepest_expr(ws, tmp_path, capsys) -> None:
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(_deep_exprs(MAX_EXPR_DEPTH)(json.loads(ws["catalog"].read_text()))))
+    out = tmp_path / "exec"
+    argv = ws["base"][:2] + ["--out", str(out), "exec", "--catalog", str(catalog), "--task", "ii-000"]
+    assert main(argv + ["--plan", _oracle_plan_file(ws, tmp_path)]) == 0
+    records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert len(records) == 2 and all(r["error"] is None for r in records)
 
 
 @pytest.mark.parametrize("command", ["oracle", "eval"])

@@ -14,6 +14,7 @@ from planforge.plan_ir import (
     PlanGraph,
     PlanNode,
     TaskInput,
+    canonical_json,
     from_linear_sequence,
     is_nonlinear,
     plan_from_json,
@@ -244,6 +245,20 @@ _plans = st.builds(PlanGraph, st.lists(_nodes, max_size=6).map(tuple), _ids)
 def test_plan_hash_matches_json_dumps(plan) -> None:
     """The directly formatted canonical string is byte-for-byte json.dumps."""
     assert plan_hash(plan) == _reference_plan_hash(plan)
+
+
+def _one_tool(name: str) -> PlanGraph:
+    return PlanGraph((PlanNode(0, name, (TaskInput(0),)),), 0)
+
+
+@given(_plans, _plans)
+@example(_one_tool("A, b"), _one_tool("A,b"))
+@example(_one_tool("A"), PlanGraph(_one_tool("A").nodes + (PlanNode(1, "B", (NodeOutput(0),)),), 1))
+def test_canonical_json_orders_plans_as_json_dumps(a, b) -> None:
+    """The oracle breaks ties on canonical_json; it orders plans as the
+    json.dumps document with sorted keys, spaces and all, does."""
+    spaced = [json.dumps(plan_to_json(plan), sort_keys=True) for plan in (a, b)]
+    assert (canonical_json(a) < canonical_json(b)) == (spaced[0] < spaced[1])
 
 
 def test_plan_hash_golden_digest() -> None:

@@ -30,6 +30,7 @@ from planforge.simkit import (
     DEFAULT_CONSTANTS,
     Corruption,
     IMAGE_CORRUPTIONS,
+    MAX_EXPR_DEPTH,
     SEMANTIC_SIGNATURES,
     TEXT_CORRUPTIONS,
     Language,
@@ -304,10 +305,26 @@ def test_expr_serialization_round_trip(expr) -> None:
     assert parse_expr(serialize_expr(expr)) == expr
 
 
+@given(st.lists(st.tuples(_LEAF, st.lists(_LEAF, max_size=2)), max_size=MAX_EXPR_DEPTH), _LEAF)
+@example([("f", [])] * MAX_EXPR_DEPTH, "x0")
+def test_expr_round_trip_up_to_the_depth_bound(levels, expr) -> None:
+    """A leaf wrapped in one op per level, each with sibling leaves: any
+    depth up to the bound."""
+    for op, siblings in levels:
+        expr = (op, expr, *siblings)
+    assert parse_expr(serialize_expr(expr)) == expr
+
+
 @pytest.mark.parametrize("text", ["", "(", ")", "(summ", "(summ x))", "x y", "(() x)"])
 def test_parse_expr_rejects_malformed(text: str) -> None:
     with pytest.raises(ValueError):
         parse_expr(text)
+
+
+def test_parse_expr_rejects_an_expr_deeper_than_the_bound() -> None:
+    deep = "(f " * (MAX_EXPR_DEPTH + 1) + "x0" + ")" * (MAX_EXPR_DEPTH + 1)
+    with pytest.raises(ValueError, match=f"deeper than {MAX_EXPR_DEPTH}"):
+        parse_expr(deep)
 
 
 @given(

@@ -31,7 +31,8 @@ Before each run, a fixed pure-Python loop is timed in this process
 shows it; neither rule reads it.
 
 The result is written to ``BENCH_<label>.json`` at the repository root:
-the machine facts; per run, ``probe_s`` and every end-to-end metric; per
+the revisions and each side's line count of ``src/planforge/*.py``; the
+machine facts; per run, ``probe_s`` and every end-to-end metric; per
 side, the median and quartiles of each; per metric, the pairs the head
 won (ties count for neither), whether the gain rule holds, and its
 verdict; and both sides' artefact digests. The file is not written, and
@@ -74,6 +75,11 @@ def export(rev: str, into: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True, capture_output=True)
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the package's modules in `tree`, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "planforge").glob("*.py"))
 
 
 def probe() -> float:
@@ -184,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "label": args.label,
         "revisions": revs,
+        "source_lines": {},
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
@@ -205,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
                 trees[side] = Path(scratch) / side
                 trees[side].mkdir()
                 export(revs[side], trees[side])
+                doc["source_lines"][side] = source_lines(trees[side])
             for name in args.workload:
                 doc["workloads"][name] = measure(trees, name, args.pairs, seconds)
         except (subprocess.CalledProcessError, RuntimeError, OSError, ValueError, KeyError) as exc:
